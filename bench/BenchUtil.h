@@ -226,19 +226,6 @@ inline void setWorkerMissStats(benchmark::State &St, double L1Misses,
   St.counters["l2_misses"] = benchmark::Counter(L2Misses);
 }
 
-/// Tags a native-tier benchmark (DESIGN.md §15) with the JIT cost and the
-/// payoff: per-run wall time on the native tier, the one-time cc+dlopen
-/// compile cost, and the speedup over the interpreted tier measured in the
-/// same process. The JSON sink emits these per record so the break-even
-/// point (compile_ms amortized over runs) is computable from the sweep
-/// output alone.
-inline void setNativeStats(benchmark::State &St, double NativeMs,
-                           double CompileMs, double SpeedupVsInterp) {
-  St.counters["native_ms"] = benchmark::Counter(NativeMs);
-  St.counters["compile_ms"] = benchmark::Counter(CompileMs);
-  St.counters["speedup_vs_interp"] = benchmark::Counter(SpeedupVsInterp);
-}
-
 /// Tags a benchmark with measured hardware counters from a PerfCounterSet
 /// sample (support/PerfCounters.h). Call only when the sample is Available;
 /// records without it emit 0 for every hw_ field, which the sweep scripts
@@ -268,20 +255,6 @@ inline void setSimMissStats(benchmark::State &St, double SimL1Misses,
   St.counters["miss_ratio_vs_sim"] = benchmark::Counter(MissRatioVsSim);
   St.counters["frac_of_io_lower_bound"] =
       benchmark::Counter(FracOfIoLowerBound);
-}
-
-/// Tags a native-tier benchmark with its dispatch amortization: the
-/// per-task dispatch overhead recovered by task-grain compilation
-/// (microseconds per outer task, from the block-grain vs task-grain wall
-/// delta) and the resolved SIMD level of the hooks->gemm kernel (0 scalar,
-/// 1 avx2, 2 avx512 — kernels/SimdGemm.h SimdLevel order; the JSON sink
-/// emits the name).
-inline void setSimdDispatchStats(benchmark::State &St, int SimdLevel,
-                                 double DispatchUsPerTask) {
-  St.counters["simd_level"] = benchmark::Counter(
-      static_cast<double>(SimdLevel));
-  St.counters["dispatch_us_per_task"] =
-      benchmark::Counter(DispatchUsPerTask);
 }
 
 /// The CPU this process was pinned to via --pin-cpu (-1 = unpinned).
@@ -318,8 +291,6 @@ public:
     /// Admission-control telemetry (0 unless set via setSaturationStats).
     int64_t Shed = 0, DeadlineExpired = 0;
     double AcceptedP95Us = 0.0, GoodputReqS = 0.0;
-    /// Native-tier telemetry (0 unless set via setNativeStats).
-    double NativeMs = 0.0, CompileMs = 0.0, SpeedupVsInterp = 0.0;
     /// Hardware counters (0 unless set via setHwCounterStats — also 0 when
     /// perf_event_open is unavailable on the machine).
     int64_t Cycles = 0, Instructions = 0;
@@ -327,9 +298,6 @@ public:
     /// CacheSim predictions + derived ratios (setSimMissStats).
     int64_t SimL1Misses = 0, SimL2Misses = 0;
     double MissRatioVsSim = 0.0, FracOfIoLowerBound = 0.0;
-    /// Dispatch amortization + SIMD level (setSimdDispatchStats).
-    int64_t SimdLevel = 0;
-    double DispatchUsPerTask = 0.0;
     /// Process CPU affinity (--pin-cpu; -1 = unpinned).
     int64_t PinnedCpu = -1;
   };
@@ -391,9 +359,6 @@ public:
         auto It = R.counters.find(Key);
         return It == R.counters.end() ? 0.0 : It->second.value;
       };
-      Rec.NativeMs = FloatCounter("native_ms");
-      Rec.CompileMs = FloatCounter("compile_ms");
-      Rec.SpeedupVsInterp = FloatCounter("speedup_vs_interp");
       Rec.Cycles = Counter("cycles");
       Rec.Instructions = Counter("instructions");
       Rec.HwL1Misses = Counter("hw_l1_misses");
@@ -403,8 +368,6 @@ public:
       Rec.SimL2Misses = Counter("sim_l2_misses");
       Rec.MissRatioVsSim = FloatCounter("miss_ratio_vs_sim");
       Rec.FracOfIoLowerBound = FloatCounter("frac_of_io_lower_bound");
-      Rec.SimdLevel = Counter("simd_level");
-      Rec.DispatchUsPerTask = FloatCounter("dispatch_us_per_task");
       Rec.PinnedCpu = pinnedCpu();
       Rec.NsPerIter = R.real_accumulated_time /
                       static_cast<double>(R.iterations) * 1e9;
@@ -446,15 +409,12 @@ inline bool writeJsonRecords(const char *Path,
                  "\"solver_saved\": %lld, \"req_per_s\": %.1f, "
                  "\"shed\": %lld, \"deadline_expired\": %lld, "
                  "\"accepted_p95_us\": %.1f, \"goodput_req_s\": %.1f, "
-                 "\"native_ms\": %.3f, \"compile_ms\": %.3f, "
-                 "\"speedup_vs_interp\": %.2f, "
                  "\"cycles\": %lld, \"instructions\": %lld, "
                  "\"hw_l1_misses\": %lld, \"hw_l2_misses\": %lld, "
                  "\"hw_llc_misses\": %lld, "
                  "\"sim_l1_misses\": %lld, \"sim_l2_misses\": %lld, "
                  "\"miss_ratio_vs_sim\": %.3f, "
                  "\"frac_of_io_lower_bound\": %.3f, "
-                 "\"simd\": \"%s\", \"dispatch_us_per_task\": %.3f, "
                  "\"pinned_cpu\": %lld}%s\n",
                  jsonEscape(Rs[I].Name).c_str(),
                  static_cast<long long>(Rs[I].N),
@@ -476,8 +436,7 @@ inline bool writeJsonRecords(const char *Path,
                  static_cast<long long>(Rs[I].SolverSaved), Rs[I].ReqPerS,
                  static_cast<long long>(Rs[I].Shed),
                  static_cast<long long>(Rs[I].DeadlineExpired),
-                 Rs[I].AcceptedP95Us, Rs[I].GoodputReqS, Rs[I].NativeMs,
-                 Rs[I].CompileMs, Rs[I].SpeedupVsInterp,
+                 Rs[I].AcceptedP95Us, Rs[I].GoodputReqS,
                  static_cast<long long>(Rs[I].Cycles),
                  static_cast<long long>(Rs[I].Instructions),
                  static_cast<long long>(Rs[I].HwL1Misses),
@@ -486,11 +445,6 @@ inline bool writeJsonRecords(const char *Path,
                  static_cast<long long>(Rs[I].SimL1Misses),
                  static_cast<long long>(Rs[I].SimL2Misses),
                  Rs[I].MissRatioVsSim, Rs[I].FracOfIoLowerBound,
-                 // kernels/SimdGemm.h SimdLevel order.
-                 Rs[I].SimdLevel == 2   ? "avx512"
-                 : Rs[I].SimdLevel == 1 ? "avx2"
-                                        : "scalar",
-                 Rs[I].DispatchUsPerTask,
                  static_cast<long long>(Rs[I].PinnedCpu),
                  I + 1 < Rs.size() ? "," : "");
   std::fprintf(F, "]\n");

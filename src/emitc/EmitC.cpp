@@ -843,42 +843,6 @@ std::string shackle::emitKernel(const LoopNest &Nest,
   return W.str();
 }
 
-std::string shackle::emitNativeKernel(const LoopNest &Nest,
-                                      const ASTNode &Root,
-                                      const std::string &Name,
-                                      const NativeEmitOptions &Opts) {
-  const Program &P = *Nest.Prog;
-  Writer W;
-  W.line("extern \"C\" void " + Name +
-         "(double **arrays, const int64_t *dims, "
-         "const shackle_native_hooks *hooks) {");
-  W.indent();
-  // Bind every scanning dimension from the task's DimValues. Scratch
-  // dimensions are re-declared by the subtree's own loops/lets and shadow
-  // these bindings; they are never read before being bound.
-  for (unsigned D = 0; D < Nest.NumDims; ++D)
-    W.line("const int64_t " + Nest.DimNames[D] + " = dims[" +
-           std::to_string(D) + "]; (void)" + Nest.DimNames[D] + ";");
-  // Parameters occupy the leading scanning dimensions; alias them when the
-  // program-level name differs from the dimension name.
-  for (unsigned V = 0; V < P.getNumParams(); ++V)
-    if (P.getVarName(V) != Nest.DimNames[V])
-      W.line("const int64_t " + P.getVarName(V) + " = dims[" +
-             std::to_string(V) + "]; (void)" + P.getVarName(V) + ";");
-  for (unsigned A = 0; A < P.getNumArrays(); ++A)
-    W.line("double *__restrict a" + std::to_string(A) + " = arrays[" +
-           std::to_string(A) + "]; (void)a" + std::to_string(A) + ";");
-  W.line("(void)arrays; (void)dims; (void)hooks;");
-
-  StmtEmitter SE(P, Nest.DimNames);
-  EmitCtx Ctx;
-  Ctx.GemmHooks = Opts.GemmHooks;
-  emitNode(Root, Nest, SE, W, Ctx);
-  W.dedent();
-  W.line("}");
-  return W.str();
-}
-
 namespace {
 
 /// A maximal run of consecutive equal roots in a task's segment sequence.
@@ -926,8 +890,8 @@ std::string shackle::emitNativeTaskKernel(
          "(double **arrays, const int64_t *dims, "
          "const shackle_native_hooks *hooks) {");
   W.indent();
-  // Unlike the per-segment kernel, dims here is the task's *flattened*
-  // per-segment DimValues: segment s reads dims[s*NumDims .. +NumDims).
+  // dims is the task's *flattened* per-segment DimValues: segment s reads
+  // dims[s*NumDims .. +NumDims).
   // Consecutive segments sharing a subtree (the inner shackle-level replay
   // loop of a hierarchical task) collapse into one emitted loop over the
   // run, so the function size is O(distinct runs), not O(segments).
@@ -969,10 +933,13 @@ std::string shackle::emitNativeTaskWritesKernel(
          "(const int64_t *dims, shackle_native_write_sink sink, "
          "void *ctx) {");
   W.indent();
-  // Same flattened-dims protocol as the task kernel; emission order is the
-  // segment order, so the log is byte-identical to running the per-segment
-  // enumerators back to back (which in turn match the interpreter walk).
+  // Same flattened-dims protocol as the task kernel, and no array
+  // pointers: the enumerator computes addresses, never touches data.
+  // Emission order is the segment order, so the log is byte-identical to
+  // the interpreter walk.
   W.line("(void)dims; (void)sink; (void)ctx;");
+  // Emission counter backing the reduction-loop collapse: such a loop
+  // breaks after its first iteration that moves this count.
   W.line("int64_t _shk_e = 0; (void)_shk_e;");
 
   StmtEmitter SE(P, Nest.DimNames);
@@ -997,46 +964,9 @@ std::string shackle::emitNativeTaskWritesKernel(
   return W.str();
 }
 
-std::string shackle::emitNativeWritesKernel(const LoopNest &Nest,
-                                            const ASTNode &Root,
-                                            const std::string &Name) {
-  const Program &P = *Nest.Prog;
-  Writer W;
-  W.line("extern \"C\" void " + Name +
-         "(const int64_t *dims, shackle_native_write_sink sink, "
-         "void *ctx) {");
-  W.indent();
-  // Same dimension binding protocol as the block kernel it shadows; no
-  // array pointers — the enumerator computes addresses, never touches data.
-  for (unsigned D = 0; D < Nest.NumDims; ++D)
-    W.line("const int64_t " + Nest.DimNames[D] + " = dims[" +
-           std::to_string(D) + "]; (void)" + Nest.DimNames[D] + ";");
-  for (unsigned V = 0; V < P.getNumParams(); ++V)
-    if (P.getVarName(V) != Nest.DimNames[V])
-      W.line("const int64_t " + P.getVarName(V) + " = dims[" +
-             std::to_string(V) + "]; (void)" + P.getVarName(V) + ";");
-  W.line("(void)dims; (void)sink; (void)ctx;");
-  // Emission counter backing the reduction-loop collapse: such a loop
-  // breaks after its first iteration that moves this count.
-  W.line("int64_t _shk_e = 0; (void)_shk_e;");
-
-  StmtEmitter SE(P, Nest.DimNames);
-  emitWritesNode(Root, Nest, SE, W);
-  W.dedent();
-  W.line("}");
-  return W.str();
-}
-
 std::string shackle::emitNativeTranslationUnit(
-    const std::vector<NativeKernelSpec> &Kernels,
-    const NativeEmitOptions &Opts) {
-  return emitNativeTranslationUnit(Kernels, {}, Opts);
-}
-
-std::string shackle::emitNativeTranslationUnit(
-    const std::vector<NativeKernelSpec> &Kernels,
     const std::vector<NativeTaskKernelSpec> &Tasks,
-    const NativeEmitOptions &Opts) {
+    const NativeEmitOptions &Opts, unsigned *GemmRouted) {
   Writer W;
   W.line("// Generated by the Shackle native execution tier. Do not edit.");
   W.line("#include <cmath>");
@@ -1070,14 +1000,14 @@ std::string shackle::emitNativeTranslationUnit(
   W.line("int64_t shackle_native_abi_version() { return 1; }");
   W.line("} // extern \"C\"");
   W.blank();
-  for (const NativeKernelSpec &K : Kernels) {
-    W.raw(emitNativeKernel(*K.Nest, *K.Root, K.Name, Opts));
-    W.blank();
-    W.raw(emitNativeWritesKernel(*K.Nest, *K.Root, K.Name + "_writes"));
-    W.blank();
-  }
+  if (GemmRouted)
+    *GemmRouted = 0;
   for (const NativeTaskKernelSpec &T : Tasks) {
-    W.raw(emitNativeTaskKernel(*T.Nest, T.Roots, T.Name, Opts));
+    const std::string Kernel =
+        emitNativeTaskKernel(*T.Nest, T.Roots, T.Name, Opts);
+    if (GemmRouted && Kernel.find("hooks->gemm") != std::string::npos)
+      ++*GemmRouted;
+    W.raw(Kernel);
     W.blank();
     W.raw(emitNativeTaskWritesKernel(*T.Nest, T.Roots, T.Name + "_writes"));
     W.blank();

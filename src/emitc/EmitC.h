@@ -16,7 +16,8 @@
 /// parameter ids. Array addressing honors each array's layout (row-major,
 /// column-major, or LAPACK band storage). The dsc-gen tool calls
 /// emitTranslationUnit at build time; the result is compiled into the bench
-/// binaries.
+/// binaries. The native tier (DESIGN.md §15) instead emits one kernel per
+/// block task through emitNativeTranslationUnit, compiled at plan time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,26 +37,18 @@ struct KernelSpec {
   const LoopNest *Nest = nullptr;
 };
 
-/// One native block kernel: a subtree of a generated nest, executed per
-/// block task. The kernel receives every scanning dimension's value in a
-/// dims array (the task's DimValues vector); bound dimensions (parameters
-/// and block coordinates) are read from it, scratch dimensions are
-/// re-declared by the subtree's own loops and simply shadow the binding.
-struct NativeKernelSpec {
-  std::string Name;
-  const LoopNest *Nest = nullptr;
-  const ASTNode *Root = nullptr;
-};
-
 /// One native task kernel: the ordered segment subtrees of one block task
-/// (repeats included), inlined into a single function (`--native=task`).
-/// The host calls it once per task instead of once per segment, passing the
-/// task's *flattened* per-segment DimValues (segment s's values at
-/// dims[s*NumDims]); runs of consecutive equal roots — the inner
-/// shackle-level replay loop of a hierarchical task — are emitted as one C
-/// loop over the run, so dispatch amortizes to one call per task and the
-/// compiler sees the whole replay loop in one scope. Two tasks with the
-/// same root sequence share a kernel (the DimValues are runtime data).
+/// (repeats included), inlined into a single function. This is the native
+/// tier's only compiled unit: the paper's block task (every statement
+/// instance whose shackled reference falls in one block) is both the
+/// scheduling unit and the code unit. The host calls it once per task,
+/// passing the task's *flattened* per-segment DimValues (segment s's
+/// values at dims[s*NumDims]); bound dimensions (parameters and block
+/// coordinates) are read from them, scratch dimensions are re-declared by
+/// the subtrees' own loops and shadow the binding. Runs of consecutive
+/// equal roots (the inner shackle-level replay loop of a hierarchical
+/// task) are emitted as one C loop over the run. Two tasks with the same
+/// root sequence share a kernel (the DimValues are runtime data).
 struct NativeTaskKernelSpec {
   std::string Name;
   const LoopNest *Nest = nullptr;
@@ -72,63 +65,47 @@ struct NativeEmitOptions {
   bool GemmHooks = true;
 };
 
-/// Emits the definition of one native block kernel:
+/// Emits the definition of one native task kernel:
 ///
 ///   extern "C" void <name>(double **arrays, const int64_t *dims,
 ///                          const shackle_native_hooks *hooks);
 ///
-/// arrays is indexed by array id, dims by scanning dimension (the task's
-/// DimValues), hooks may be null (pure-loop execution). The host-side
-/// mirror of shackle_native_hooks lives in native/NativeJit.h; the field
-/// order here and there is the ABI.
-std::string emitNativeKernel(const LoopNest &Nest, const ASTNode &Root,
-                             const std::string &Name,
-                             const NativeEmitOptions &Opts);
-
-/// Emits the write-footprint enumerator companion of a native block kernel:
-///
-///   extern "C" void <name>(const int64_t *dims,
-///                          shackle_native_write_sink sink, void *ctx);
-///
-/// It walks the same loop structure as the kernel but, instead of executing
-/// stores, reports each one as sink(ctx, array_id, offset). Loops whose
-/// subtree is address-invariant in their dimension (classically the gemm
-/// reduction loop) collapse to one guarded iteration, so enumeration costs
-/// O(footprint), not O(instances). The executor snapshots undo logs through
-/// this instead of the interpreter's write sink when a module provides it.
-std::string emitNativeWritesKernel(const LoopNest &Nest, const ASTNode &Root,
-                                   const std::string &Name);
-
-/// Emits the definition of one native *task* kernel: the same signature as
-/// emitNativeKernel, but the body executes every segment root in order.
+/// arrays is indexed by array id, dims is the task's flattened per-segment
+/// DimValues, hooks may be null (pure-loop execution). The host-side
+/// mirror of shackle_native_hooks is NativeHooks in
+/// parallel/ParallelExecutor.h; the field order here and there is the ABI.
 std::string emitNativeTaskKernel(const LoopNest &Nest,
                                  const std::vector<const ASTNode *> &Roots,
                                  const std::string &Name,
                                  const NativeEmitOptions &Opts);
 
-/// Write-footprint enumerator companion of a native task kernel: one
-/// function reporting the stores of every segment root in order, with the
-/// same reduction-loop collapse as the per-segment enumerator. Byte-order
-/// of emissions matches running the per-segment enumerators back to back.
+/// Emits the write-footprint enumerator companion of a native task kernel:
+///
+///   extern "C" void <name>(const int64_t *dims,
+///                          shackle_native_write_sink sink, void *ctx);
+///
+/// It walks the same loop structure as the kernel but, instead of executing
+/// stores, reports each one as sink(ctx, array_id, offset), segment by
+/// segment in order. Loops whose subtree is address-invariant in their
+/// dimension (classically the gemm reduction loop) collapse to one guarded
+/// iteration, so enumeration costs O(footprint), not O(instances). The
+/// executor snapshots undo logs through this instead of the interpreter's
+/// write sink when a module provides it.
 std::string
 emitNativeTaskWritesKernel(const LoopNest &Nest,
                            const std::vector<const ASTNode *> &Roots,
                            const std::string &Name);
 
 /// Emits a complete native translation unit: includes, division helpers,
-/// the shackle_native_hooks struct definition, and all kernels, each with
-/// its <name>_writes footprint enumerator. Each symbol is resolved
-/// individually via dlsym; there is no registry.
+/// the shackle_native_hooks struct definition, and every task kernel, each
+/// followed by its <name>_writes footprint enumerator. Each symbol is
+/// resolved individually via dlsym; there is no registry. When
+/// \p GemmRouted is non-null it receives the number of kernels whose text
+/// contains a hooks->gemm call site.
 std::string
-emitNativeTranslationUnit(const std::vector<NativeKernelSpec> &Kernels,
-                          const NativeEmitOptions &Opts);
-
-/// As above, plus task-grain kernels (and their _writes companions)
-/// appended after the per-segment block kernels.
-std::string
-emitNativeTranslationUnit(const std::vector<NativeKernelSpec> &Kernels,
-                          const std::vector<NativeTaskKernelSpec> &Tasks,
-                          const NativeEmitOptions &Opts);
+emitNativeTranslationUnit(const std::vector<NativeTaskKernelSpec> &Tasks,
+                          const NativeEmitOptions &Opts,
+                          unsigned *GemmRouted = nullptr);
 
 /// Emits the definition of a single kernel function (no preamble).
 std::string emitKernel(const LoopNest &Nest, const std::string &Name);

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <unordered_set>
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -100,10 +99,6 @@ uint64_t shackle::nativeConfigHash(const NativeJitOptions &Opts) {
   // may share a module; an env-forced SHACKLE_NATIVE_SIMD change may not.
   unsigned char SL = static_cast<unsigned char>(resolveSimdLevel(Opts.Simd));
   H = fnv1a(H, &SL, 1);
-  // Task-grain modules carry partition-indexed kernel tables a block-grain
-  // run must never see (and vice versa).
-  unsigned char TG = Opts.TaskGrain ? 1 : 0;
-  H = fnv1a(H, &TG, 1);
   return H;
 }
 
@@ -125,16 +120,6 @@ void NativeModule::cleanupFiles() {
 
 NativeModule::~NativeModule() { cleanupFiles(); }
 
-NativeKernelFn NativeModule::fnFor(const ASTNode *Root) const {
-  auto It = Fns.find(Root);
-  return It == Fns.end() ? nullptr : It->second;
-}
-
-NativeWritesFn NativeModule::writesFor(const ASTNode *Root) const {
-  auto It = WFns.find(Root);
-  return It == WFns.end() ? nullptr : It->second;
-}
-
 NativeKernelFn NativeModule::taskFnFor(uint32_t TaskId) const {
   return TaskId < TaskFns.size() ? TaskFns[TaskId] : nullptr;
 }
@@ -144,30 +129,34 @@ NativeWritesFn NativeModule::taskWritesFor(uint32_t TaskId) const {
 }
 
 std::shared_ptr<NativeModule>
-NativeModule::compile(const LoopNest &Nest,
-                      const std::vector<const ASTNode *> &Roots,
+NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
                       const NativeJitOptions &Opts,
                       std::vector<Diagnostic> &Diags) {
-  return compile(Nest, Roots, /*TaskGrain=*/nullptr, Opts, Diags);
-}
-
-std::shared_ptr<NativeModule>
-NativeModule::compile(const LoopNest &Nest,
-                      const std::vector<const ASTNode *> &Roots,
-                      const BlockPartition *TaskGrain,
-                      const NativeJitOptions &Opts,
-                      std::vector<Diagnostic> &Diags) {
-  // Build the worklist: distinct subtree roots, first-seen order (task
-  // segments of neighboring blocks share the same subtree node, so the
-  // dedup is what keeps the TU small).
-  std::vector<const ASTNode *> Distinct;
+  // Build the worklist: one kernel per distinct segment-root *sequence*
+  // (the per-segment DimValues are runtime data, so tasks replaying the
+  // same subtrees in the same order share one function — the dedup is what
+  // keeps the TU small).
+  std::vector<NativeTaskKernelSpec> Specs;
+  std::vector<int64_t> SpecIdx(Part.OK ? Part.Tasks.size() : 0, -1);
   {
-    std::unordered_set<const ASTNode *> Seen;
-    for (const ASTNode *R : Roots)
-      if (R && Seen.insert(R).second)
-        Distinct.push_back(R);
+    std::map<std::vector<const ASTNode *>, std::size_t> BySeq;
+    for (std::size_t T = 0; T < SpecIdx.size(); ++T) {
+      std::vector<const ASTNode *> Seq;
+      Seq.reserve(Part.Tasks[T].Segments.size());
+      for (const BlockTask::Segment &Seg : Part.Tasks[T].Segments)
+        Seq.push_back(Seg.Node);
+      if (Seq.empty())
+        continue;
+      auto It = BySeq.find(Seq);
+      if (It == BySeq.end()) {
+        It = BySeq.emplace(Seq, Specs.size()).first;
+        Specs.push_back({"shk_native_t" + std::to_string(Specs.size()),
+                         &Nest, std::move(Seq)});
+      }
+      SpecIdx[T] = static_cast<int64_t>(It->second);
+    }
   }
-  if (Distinct.empty()) {
+  if (Specs.empty()) {
     Diags.push_back(fallbackDiag("plan has no task segments to compile"));
     return nullptr;
   }
@@ -186,47 +175,10 @@ NativeModule::compile(const LoopNest &Nest,
   auto T0 = std::chrono::steady_clock::now();
   NativeEmitOptions EOpts;
   EOpts.GemmHooks = Opts.UseMicroBlas;
-  std::vector<NativeKernelSpec> Specs;
-  Specs.reserve(Distinct.size());
-  for (std::size_t I = 0; I < Distinct.size(); ++I)
-    Specs.push_back(
-        {"shk_native_k" + std::to_string(I), &Nest, Distinct[I]});
-
-  // Task-grain worklist: one kernel per distinct segment-root *sequence*
-  // (the per-segment DimValues are runtime data, so tasks replaying the
-  // same subtrees in the same order share one function).
-  std::vector<NativeTaskKernelSpec> TaskSpecs;
-  std::vector<int64_t> TaskSpecIdx;
-  if (Opts.TaskGrain && TaskGrain && TaskGrain->OK) {
-    std::map<std::vector<const ASTNode *>, std::size_t> BySeq;
-    TaskSpecIdx.assign(TaskGrain->Tasks.size(), -1);
-    for (std::size_t T = 0; T < TaskGrain->Tasks.size(); ++T) {
-      std::vector<const ASTNode *> Seq;
-      Seq.reserve(TaskGrain->Tasks[T].Segments.size());
-      for (const BlockTask::Segment &Seg : TaskGrain->Tasks[T].Segments)
-        Seq.push_back(Seg.Node);
-      if (Seq.empty())
-        continue;
-      auto It = BySeq.find(Seq);
-      if (It == BySeq.end()) {
-        It = BySeq.emplace(Seq, TaskSpecs.size()).first;
-        TaskSpecs.push_back({"shk_native_t" + std::to_string(TaskSpecs.size()),
-                             &Nest, std::move(Seq)});
-      }
-      TaskSpecIdx[T] = static_cast<int64_t>(It->second);
-    }
-  }
-
-  const std::string Text = emitNativeTranslationUnit(Specs, TaskSpecs, EOpts);
+  const std::string Text =
+      emitNativeTranslationUnit(Specs, EOpts, &M->Stats.GemmRouted);
   M->Stats.EmitMs = msSince(T0);
-  M->Stats.NumKernels = static_cast<unsigned>(Specs.size());
-  M->Stats.TaskKernels = static_cast<unsigned>(TaskSpecs.size());
-  for (const NativeKernelSpec &Spec : Specs) {
-    const std::string One = emitNativeKernel(Nest, *Spec.Root, Spec.Name,
-                                             EOpts);
-    if (One.find("hooks->gemm") != std::string::npos)
-      ++M->Stats.GemmRouted;
-  }
+  M->Stats.TaskKernels = static_cast<unsigned>(Specs.size());
 
   // 2. Write it to a fresh temp dir.
   std::string Templ = tempDirTemplate();
@@ -288,7 +240,7 @@ NativeModule::compile(const LoopNest &Nest,
   }
 
   // 4. Load and resolve. RTLD_LOCAL keeps the module's symbols out of the
-  // global namespace — two cached modules can both define shk_native_k0.
+  // global namespace — two cached modules can both define shk_native_t0.
   T0 = std::chrono::steady_clock::now();
   M->Handle = dlopen(M->SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!M->Handle) {
@@ -309,6 +261,8 @@ NativeModule::compile(const LoopNest &Nest,
     Diags.push_back(fallbackDiag("module has no shackle_native_abi_version"));
     return nullptr;
   }
+  std::vector<NativeKernelFn> Fns(Specs.size(), nullptr);
+  std::vector<NativeWritesFn> WFns(Specs.size(), nullptr);
   for (std::size_t I = 0; I < Specs.size(); ++I) {
     std::string Sym = Specs[I].Name;
     if (injectNativeDlsymFail())
@@ -318,37 +272,20 @@ NativeModule::compile(const LoopNest &Nest,
       Diags.push_back(fallbackDiag("dlsym(" + Sym + ") failed"));
       return nullptr;
     }
-    M->Fns.emplace(Distinct[I], reinterpret_cast<NativeKernelFn>(P));
+    Fns[I] = reinterpret_cast<NativeKernelFn>(P);
     // The write-footprint enumerator companion is additive ABI: when it
     // does not resolve, undo capture falls back to the interpreter walk —
     // slower, never wrong — so its absence is not a module failure.
     if (void *WP = dlsym(M->Handle, (Specs[I].Name + "_writes").c_str()))
-      M->WFns.emplace(Distinct[I], reinterpret_cast<NativeWritesFn>(WP));
+      WFns[I] = reinterpret_cast<NativeWritesFn>(WP);
   }
-  if (!TaskSpecs.empty()) {
-    std::vector<NativeKernelFn> SeqFns(TaskSpecs.size(), nullptr);
-    std::vector<NativeWritesFn> SeqWFns(TaskSpecs.size(), nullptr);
-    for (std::size_t I = 0; I < TaskSpecs.size(); ++I) {
-      std::string Sym = TaskSpecs[I].Name;
-      if (injectNativeDlsymFail())
-        Sym = "bad_" + Sym;
-      void *P = dlsym(M->Handle, Sym.c_str());
-      if (!P) {
-        Diags.push_back(fallbackDiag("dlsym(" + Sym + ") failed"));
-        return nullptr;
-      }
-      SeqFns[I] = reinterpret_cast<NativeKernelFn>(P);
-      if (void *WP = dlsym(M->Handle, (TaskSpecs[I].Name + "_writes").c_str()))
-        SeqWFns[I] = reinterpret_cast<NativeWritesFn>(WP);
-    }
-    M->TaskFns.assign(TaskSpecIdx.size(), nullptr);
-    M->TaskWFns.assign(TaskSpecIdx.size(), nullptr);
-    for (std::size_t T = 0; T < TaskSpecIdx.size(); ++T) {
-      if (TaskSpecIdx[T] < 0)
-        continue;
-      M->TaskFns[T] = SeqFns[static_cast<std::size_t>(TaskSpecIdx[T])];
-      M->TaskWFns[T] = SeqWFns[static_cast<std::size_t>(TaskSpecIdx[T])];
-    }
+  M->TaskFns.assign(SpecIdx.size(), nullptr);
+  M->TaskWFns.assign(SpecIdx.size(), nullptr);
+  for (std::size_t T = 0; T < SpecIdx.size(); ++T) {
+    if (SpecIdx[T] < 0)
+      continue;
+    M->TaskFns[T] = Fns[static_cast<std::size_t>(SpecIdx[T])];
+    M->TaskWFns[T] = WFns[static_cast<std::size_t>(SpecIdx[T])];
   }
   M->Stats.LoadMs = msSince(T0);
 

@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The native execution tier (DESIGN.md §15). At plan time the distinct
-/// task-segment subtrees of a ParallelPlan are emitted as C++ (emitc),
-/// compiled into a shared object with the system compiler, and dlopen'd;
-/// the scheduler then dispatches the resulting function pointers instead of
-/// walking the LoopAST, with innermost dense triple loops routed through
-/// the MicroBlas register kernels behind runtime shape guards.
+/// The native execution tier (DESIGN.md §15). At plan time every block
+/// task of a ParallelPlan becomes one C++ function (emitc), deduplicated by
+/// the task's segment-root sequence, compiled into a shared object with the
+/// system compiler, and dlopen'd; the scheduler then makes one call per
+/// task, looked up by task id, instead of walking the LoopAST, with
+/// innermost dense triple loops routed through the MicroBlas register
+/// kernels behind runtime shape guards.
 ///
 /// Every step can fail — no compiler on the machine, cc exiting non-zero,
 /// dlopen/dlsym errors, ABI drift — and every failure lands on the same
@@ -67,10 +68,8 @@ struct NativeJitOptions {
   /// plain loops may auto-vectorize... they stay -ffp-contract=off, so the
   /// loop branch remains bitwise-identical either way.
   SimdMode Simd = SimdMode::Auto;
-  /// Compile one kernel per *task* (root-sequence deduplicated) in
-  /// addition to the per-segment block kernels, for `--native=task`
-  /// dispatch: one call per task, the inner replay loop inlined. Requires
-  /// passing the partition to compile().
+  /// Ignored: every module is task-grain. bench/e2e adapter only; a later
+  /// benchmark PR deletes it.
   bool TaskGrain = false;
   /// Keep the temp directory (source, .so, cc.log) after the module dies —
   /// for debugging miscompiles.
@@ -82,51 +81,48 @@ struct NativeJitStats {
   double EmitMs = 0.0;    ///< C++ text generation.
   double CompileMs = 0.0; ///< Compiler subprocess wall time.
   double LoadMs = 0.0;    ///< dlopen + dlsym resolution.
-  unsigned NumKernels = 0;
-  /// Kernels whose emitted text contains at least one hooks->gemm call
-  /// site (the runtime guard may still take the plain-loop branch).
-  unsigned GemmRouted = 0;
-  /// Task-grain kernels compiled (0 unless NativeJitOptions::TaskGrain and
-  /// a partition was supplied; deduplicated by segment-root sequence).
+  /// Task kernels compiled (deduplicated by segment-root sequence).
   unsigned TaskKernels = 0;
+  /// Task kernels whose emitted text contains at least one hooks->gemm
+  /// call site (the runtime guard may still take the plain-loop branch).
+  unsigned GemmRouted = 0;
   /// The resolved hooks->gemm vector level (SimdLevel::Scalar when
   /// MicroBlas routing is off or the requested width is unsupported).
   SimdLevel SimdUsed = SimdLevel::Scalar;
 };
 
-/// A dlopen'd shared object of compiled block kernels, plugged into the
-/// executor through the NativeDispatch interface. Kernels are keyed by the
-/// exact ASTNode* of the subtree they were emitted from, so a module is
-/// only valid with the plan (LoopNest) it was compiled against — the
-/// module cache key includes the PlanKey digest for precisely that reason.
-/// Thread-safe after construction (lookups are const on an immutable map).
+/// A dlopen'd shared object of compiled task kernels, plugged into the
+/// executor through the NativeDispatch interface. Kernels are indexed by
+/// task id of the partition they were compiled from, and hold no pointer
+/// into its LoopNest: a module serves any plan with the same PlanKey (same
+/// partition, same task order), which is why the module cache key includes
+/// the PlanKey digest. Thread-safe after construction (lookups are const
+/// on immutable tables).
 class NativeModule : public NativeDispatch {
 public:
-  /// Emits, compiles, and loads kernels for every distinct root in
-  /// \p Roots (task-segment subtree roots of \p Nest). On any failure
-  /// appends one [native-fallback] warning to \p Diags and returns null —
-  /// the caller's fallback tier is the interpreter, so a null module is
-  /// always safe.
+  /// Emits, compiles, and loads one kernel (and its `_writes` footprint
+  /// enumerator) per distinct segment-root sequence among the tasks of
+  /// \p Part, a partition of \p Nest. On any failure appends one
+  /// [native-fallback] warning to \p Diags and returns null — the caller's
+  /// fallback tier is the interpreter, so a null module is always safe.
   static std::shared_ptr<NativeModule>
-  compile(const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
+  compile(const LoopNest &Nest, const BlockPartition &Part,
           const NativeJitOptions &Opts, std::vector<Diagnostic> &Diags);
 
-  /// As above, but additionally (under Opts.TaskGrain) compiles one
-  /// task-grain kernel per distinct segment-root sequence of
-  /// \p TaskGrain's tasks, resolved through taskFnFor/taskWritesFor. The
-  /// partition must be the one the module will run against (task ids
-  /// index it).
+  /// Forwards to the overload above, ignoring the segment roots; \p Part
+  /// must be non-null. bench/e2e adapter only; a later benchmark PR deletes
+  /// it.
   static std::shared_ptr<NativeModule>
-  compile(const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
-          const BlockPartition *TaskGrain, const NativeJitOptions &Opts,
-          std::vector<Diagnostic> &Diags);
+  compile(const LoopNest &Nest, const std::vector<const ASTNode *> &,
+          const BlockPartition *Part, const NativeJitOptions &Opts,
+          std::vector<Diagnostic> &Diags) {
+    return compile(Nest, *Part, Opts, Diags);
+  }
 
   ~NativeModule() override;
   NativeModule(const NativeModule &) = delete;
   NativeModule &operator=(const NativeModule &) = delete;
 
-  NativeKernelFn fnFor(const ASTNode *Root) const override;
-  NativeWritesFn writesFor(const ASTNode *Root) const override;
   NativeKernelFn taskFnFor(uint32_t TaskId) const override;
   NativeWritesFn taskWritesFor(uint32_t TaskId) const override;
   const NativeHooks &hooks() const override { return Hooks; }
@@ -144,9 +140,7 @@ private:
 
   void *Handle = nullptr;
   NativeHooks Hooks;
-  std::unordered_map<const ASTNode *, NativeKernelFn> Fns;
-  std::unordered_map<const ASTNode *, NativeWritesFn> WFns;
-  /// Task-grain tables indexed by task id (empty without TaskGrain).
+  /// Tables indexed by task id (null for tasks without segments).
   std::vector<NativeKernelFn> TaskFns;
   std::vector<NativeWritesFn> TaskWFns;
   NativeJitStats Stats;
@@ -163,7 +157,7 @@ std::string nativeCompilerPath(const NativeJitOptions &Opts = {});
 bool nativeTierAvailable(const NativeJitOptions &Opts = {});
 
 /// Stable hash of the native configuration (resolved compiler, flags,
-/// MicroBlas routing); mixed into the PlanKey digest to key the module
+/// MicroBlas routing, resolved SIMD level); mixed into the PlanKey digest to key the module
 /// cache, so changing any of them is a cache miss, never a stale module.
 uint64_t nativeConfigHash(const NativeJitOptions &Opts);
 

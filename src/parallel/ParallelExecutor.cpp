@@ -363,10 +363,10 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   // \p Produced records the first non-finite value the block's own
   // arithmetic stores (the interpreter-side half of the poison guard) —
   // native kernels have no store hook, so Produced only fires on
-  // interpreted segments. With the native tier active and \p AllowNative,
-  // each segment dispatches its compiled kernel when the module has one;
-  // \p RanNative (if non-null) reports whether any segment actually ran
-  // native, which decides whether the poison scan needs the oracle.
+  // interpreted tasks. With the native tier active and \p AllowNative, the
+  // task dispatches its compiled kernel when the module has one and
+  // interprets otherwise; \p RanNative (if non-null) reports whether the
+  // kernel ran, which decides whether the poison scan needs the oracle.
   auto tryRunBlock = [&](uint32_t T, unsigned Worker, std::string &Err,
                          PoisonFinding *Produced, bool AllowNative,
                          bool *RanNative) {
@@ -387,24 +387,19 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
       CheckP = &Check;
     }
     const bool TierOn = Native != nullptr && AllowNative;
-    std::vector<double *> Ptrs;
-    if (TierOn) {
-      // Buffer base pointers are stable for the whole run (buffers are
-      // sized at instance construction and every restore writes in place),
-      // but a per-attempt table is cheap and immune to that assumption.
-      Ptrs.resize(Inst.program().getNumArrays());
-      for (std::size_t A = 0; A < Ptrs.size(); ++A)
-        Ptrs[A] = Inst.buffer(static_cast<unsigned>(A)).data();
-    }
+    NativeKernelFn TaskFn = TierOn ? Native->taskFnFor(T) : nullptr;
     try {
       if (injectTaskThrow(T))
         throw std::runtime_error("injected task fault");
-      // Task-grain dispatch (`--native=task` with compiled task kernels):
-      // one call covers every segment, over the task's flattened
-      // per-segment DimValues. Falls through to per-segment dispatch when
-      // the module has no task kernel for this task.
-      NativeKernelFn TaskFn = TierOn ? Native->taskFnFor(T) : nullptr;
-      if (TaskFn && !Tasks[T].Segments.empty()) {
+      if (TaskFn) {
+        // One call covers every segment, over the task's flattened
+        // per-segment DimValues. Buffer base pointers are stable for the
+        // whole run (buffers are sized at instance construction and every
+        // restore writes in place), but a per-attempt table is cheap and
+        // immune to that assumption.
+        std::vector<double *> Ptrs(Inst.program().getNumArrays());
+        for (std::size_t A = 0; A < Ptrs.size(); ++A)
+          Ptrs[A] = Inst.buffer(static_cast<unsigned>(A)).data();
         std::vector<int64_t> Flat;
         Flat.reserve(Tasks[T].Segments.size() * CG.Nest.NumDims);
         for (const BlockTask::Segment &Seg : Tasks[T].Segments)
@@ -417,20 +412,12 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
         if (RanNative)
           *RanNative = true;
       } else {
-      for (const BlockTask::Segment &Seg : Tasks[T].Segments) {
-        NativeKernelFn Fn = TierOn ? Native->fnFor(Seg.Node) : nullptr;
-        if (Fn) {
-          Fn(Ptrs.data(), Seg.DimValues.data(), &Native->hooks());
-          NativeSegs.fetch_add(1, std::memory_order_relaxed);
-          if (RanNative)
-            *RanNative = true;
-        } else {
+        for (const BlockTask::Segment &Seg : Tasks[T].Segments)
           runLoopNestSubtree(CG.Nest, *Seg.Node, Seg.DimValues, Inst, Trace,
                              CheckP);
-          if (TierOn)
-            InterpSegs.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+        if (TierOn)
+          InterpSegs.fetch_add(Tasks[T].Segments.size(),
+                               std::memory_order_relaxed);
       }
       SegmentsDone.fetch_add(Tasks[T].Segments.size(),
                              std::memory_order_relaxed);
@@ -466,8 +453,8 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     BlockUndoLog Undo;
     uint64_t UndoSum = 0;
     if (Opts.UndoLog) {
-      // Footprint capture rides the native tier too: the module's compiled
-      // write enumerators replace the interpreter write-sink walk (the set
+      // Footprint capture rides the native tier too: the task's compiled
+      // write enumerator replaces the interpreter write-sink walk (the set
       // is identical — tested by the native differential battery). With
       // AllowNative off (oracle reruns, degraded replay) no native code of
       // any kind runs in the attempt, capture included.

@@ -149,7 +149,7 @@ enum class TaskPlacement {
   RoundRobin,
 };
 
-/// Host-side helper functions passed to native block kernels. This struct
+/// Host-side helper functions passed to native task kernels. This struct
 /// is the binary mirror of the `shackle_native_hooks` struct that
 /// emitNativeTranslationUnit defines inside each generated TU: the field
 /// order and types here ARE the ABI. Extend only by appending.
@@ -162,17 +162,18 @@ struct NativeHooks {
                int64_t Ldb) = nullptr;
 };
 
-/// Signature of a compiled block kernel: arrays indexed by array id, dims
-/// by scanning dimension (a task segment's DimValues), hooks may be null.
+/// Signature of a compiled task kernel: arrays indexed by array id, dims
+/// the task's per-segment DimValues flattened back to back (segment s at
+/// dims[s * NumDims]), hooks may be null.
 using NativeKernelFn = void (*)(double **Arrays, const int64_t *Dims,
                                 const NativeHooks *Hooks);
 
 /// Sink a compiled write-footprint enumerator reports into: one call per
-/// store the block kernel would execute.
+/// store the task kernel would execute.
 using NativeWriteSinkFn = void (*)(void *Ctx, int64_t ArrayId,
                                    int64_t Offset);
 
-/// A compiled write-footprint enumerator: the companion of a block kernel
+/// A compiled write-footprint enumerator: the companion of a task kernel
 /// that reports the kernel's store set (reduction loops collapsed) instead
 /// of executing it. Undo-log capture runs this at native speed in place of
 /// the interpreter's write sink when the module provides one.
@@ -181,38 +182,21 @@ using NativeWritesFn = void (*)(const int64_t *Dims, NativeWriteSinkFn Sink,
 
 /// The native execution tier's interface to the scheduler. Implemented by
 /// native/NativeJit.h's NativeModule (a dlopen'd shared object of compiled
-/// block kernels); declared here so src/parallel never links src/native.
-/// Thread-safety contract: fnFor and hooks are called concurrently from
+/// task kernels); declared here so src/parallel never links src/native.
+/// Lookups are by task id of the partition the module was compiled from.
+/// Thread-safety contract: every method is called concurrently from
 /// worker threads and must be const-safe after construction.
 class NativeDispatch {
 public:
   virtual ~NativeDispatch();
-  /// The compiled kernel for a task segment whose subtree root is \p Root,
-  /// or null when this segment must run on the interpreter (kernel was not
-  /// requested, failed to compile, or failed to resolve).
-  virtual NativeKernelFn fnFor(const ASTNode *Root) const = 0;
-  /// The compiled write-footprint enumerator for \p Root, or null when undo
-  /// capture must fall back to the interpreter's write sink. Defaulted:
-  /// a dispatch without enumerators is valid, just slower to snapshot.
-  virtual NativeWritesFn writesFor(const ASTNode *Root) const {
-    (void)Root;
-    return nullptr;
-  }
-  /// The compiled *task-grain* kernel for block task \p TaskId (one
-  /// function inlining every segment of the task, `--native=task`), or
-  /// null when this task must dispatch per segment. Defaulted: a dispatch
-  /// without task kernels is valid, just one call per segment.
-  virtual NativeKernelFn taskFnFor(uint32_t TaskId) const {
-    (void)TaskId;
-    return nullptr;
-  }
-  /// The write-footprint enumerator companion of the task-grain kernel, or
-  /// null when undo capture must enumerate per segment (or fall back to
-  /// the interpreter walk).
-  virtual NativeWritesFn taskWritesFor(uint32_t TaskId) const {
-    (void)TaskId;
-    return nullptr;
-  }
+  /// The compiled kernel for block task \p TaskId (one function inlining
+  /// every segment of the task), or null when this task must run on the
+  /// interpreter (kernel failed to compile or resolve, or the task has no
+  /// segments).
+  virtual NativeKernelFn taskFnFor(uint32_t TaskId) const = 0;
+  /// The write-footprint enumerator companion of the task kernel, or null
+  /// when undo capture must fall back to the interpreter walk.
+  virtual NativeWritesFn taskWritesFor(uint32_t TaskId) const = 0;
   /// Helper functions the kernels call back into (shared for the module).
   virtual const NativeHooks &hooks() const = 0;
 };
@@ -275,12 +259,12 @@ struct ParallelRunOptions {
   /// race-free. Undo-log snapshots do not trace - they are runtime
   /// bookkeeping, not program accesses.
   std::vector<TraceFn> *WorkerTraces = nullptr;
-  /// Native execution tier (DESIGN.md §15): when non-null, any task segment
-  /// whose subtree root has a compiled kernel in this module dispatches the
-  /// native function pointer instead of the interpreter. Undo capture,
-  /// checksums, rollback, quarantine, and the DAG order are unchanged (the
-  /// undo footprint is enumerated structurally, not via the interpreter's
-  /// write sink). Ignored when WorkerTraces is set — native code cannot
+  /// Native execution tier (DESIGN.md §15): when non-null, any task with a
+  /// compiled kernel in this module (looked up by task id) dispatches that
+  /// one function pointer instead of interpreting its segments. Undo
+  /// capture, checksums, rollback, quarantine, and the DAG order are
+  /// unchanged (the undo footprint comes from the task's compiled write
+  /// enumerator, not the interpreter's write sink). Ignored when WorkerTraces is set — native code cannot
   /// trace, so traced runs interpret everything. The serial-fallback and
   /// pristine-replay paths always interpret (the interpreter is the
   /// degraded-mode executor). The caller keeps the module alive for the
@@ -321,20 +305,20 @@ struct ParallelRunStats {
   /// a hierarchical task amortizes (equals BlocksRun for flat plans with
   /// unsplit blocks).
   uint64_t SegmentsRun = 0;
-  /// Segments dispatched to compiled kernels (0 when the native tier was
-  /// off or unavailable). NativeSegments + InterpSegments == SegmentsRun
-  /// for the parallel phase; serial replays always interpret.
+  /// Segments executed inside compiled task kernels (0 when the native
+  /// tier was off or unavailable). NativeSegments + InterpSegments ==
+  /// SegmentsRun for the parallel phase; serial replays always interpret.
   uint64_t NativeSegments = 0;
-  /// Segments the native tier declined (no kernel for that subtree) and
-  /// the interpreter ran instead, counted only while the tier was active.
+  /// Segments of tasks the native tier declined (no kernel for that task)
+  /// that the interpreter ran instead, counted only while the tier was
+  /// active.
   uint64_t InterpSegments = 0;
   /// Poison scans after a native block that triggered the interpreter
   /// disagreement oracle: the block was rolled back and re-run interpreted
   /// to attribute the non-finite value (produced vs corrupted).
   uint64_t NativeOracleReruns = 0;
-  /// Tasks dispatched through a task-grain kernel (`--native=task` with a
-  /// module that compiled task functions): one call replaced the whole
-  /// per-segment loop. Their segments still count in NativeSegments.
+  /// Tasks dispatched through a compiled task kernel: one call replaced
+  /// the whole per-segment loop. Their segments count in NativeSegments.
   uint64_t NativeTaskCalls = 0;
   /// Hardware counters around the execution phase (Requested=false when
   /// ParallelRunOptions::HwCounters was off).

@@ -149,44 +149,13 @@ BlockUndoLog shackle::captureBlockUndo(const LoopNest &Nest,
 
 BlockUndoLog shackle::captureBlockUndo(const LoopNest &Nest,
                                        const BlockTask &Task,
-                                       const ProgramInstance &Inst,
-                                       const NativeDispatch *Native) {
-  // All-or-nothing: a partial native enumeration would have to merge with
-  // interpreter walks anyway, losing the point of skipping them.
-  std::vector<NativeWritesFn> Fns;
-  if (Native && !Task.Segments.empty()) {
-    Fns.reserve(Task.Segments.size());
-    for (const BlockTask::Segment &Seg : Task.Segments) {
-      NativeWritesFn F = Native->writesFor(Seg.Node);
-      if (!F) {
-        Fns.clear();
-        break;
-      }
-      Fns.push_back(F);
-    }
-  }
-  if (Fns.size() != Task.Segments.size() || Task.Segments.empty())
-    return captureBlockUndo(Nest, Task, Inst);
-
-  std::vector<std::pair<unsigned, int64_t>> &Footprint = footprintScratch();
-  NativeWriteSinkFn Sink = [](void *Ctx, int64_t ArrayId, int64_t Offset) {
-    static_cast<std::vector<std::pair<unsigned, int64_t>> *>(Ctx)
-        ->emplace_back(static_cast<unsigned>(ArrayId), Offset);
-  };
-  for (std::size_t I = 0; I < Fns.size(); ++I)
-    Fns[I](Task.Segments[I].DimValues.data(), Sink, &Footprint);
-  return snapshotFootprint(Footprint, Inst);
-}
-
-BlockUndoLog shackle::captureBlockUndo(const LoopNest &Nest,
-                                       const BlockTask &Task,
                                        uint32_t TaskId,
                                        const ProgramInstance &Inst,
                                        const NativeDispatch *Native) {
   NativeWritesFn TaskFn =
       Native ? Native->taskWritesFor(TaskId) : nullptr;
   if (!TaskFn || Task.Segments.empty())
-    return captureBlockUndo(Nest, Task, Inst, Native);
+    return captureBlockUndo(Nest, Task, Inst);
 
   // One enumerator call over the task's flattened per-segment DimValues —
   // the same protocol as the task-grain execution kernel.

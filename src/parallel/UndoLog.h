@@ -21,10 +21,11 @@
 /// The footprint comes from collectSubtreeWrites — the same structural walk
 /// the interpreter executes, minus the arithmetic — so capture cost is
 /// proportional to the block's instance count, not the array size. Under
-/// the native tier the walk is replaced entirely: each compiled kernel
-/// ships a <name>_writes companion that enumerates the identical store set
-/// at native speed with address-invariant (reduction) loops collapsed, so
-/// capture cost drops to the footprint size itself.
+/// the native tier the walk is replaced entirely: each compiled task kernel
+/// ships a <name>_writes companion, looked up by task id, that enumerates
+/// the identical store set at native speed with address-invariant
+/// (reduction) loops collapsed, so capture cost drops to the footprint size
+/// itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,21 +59,12 @@ struct BlockUndoLog {
 BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
                               const ProgramInstance &Inst);
 
-/// Like captureBlockUndo, but when \p Native provides a compiled write
-/// enumerator for every segment of \p Task, the footprint is enumerated at
-/// native speed (reduction loops collapsed) instead of walking the subtree
-/// through the interpreter's write sink — the same entries, a fraction of
-/// the capture cost. Null \p Native, or any segment without an enumerator,
-/// falls back to the interpreter walk.
-BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
-                              const ProgramInstance &Inst,
-                              const NativeDispatch *Native);
-
-/// Task-grain variant: when \p Native provides a compiled *task* write
-/// enumerator for \p TaskId (`--native=task`), the whole footprint is
-/// enumerated in one call over the task's flattened per-segment DimValues.
-/// Otherwise falls through the per-segment enumerators and then the
-/// interpreter walk — all three paths produce byte-identical logs.
+/// Like captureBlockUndo, but when \p Native provides the compiled write
+/// enumerator of task \p TaskId, the whole footprint is enumerated in one
+/// call over the task's flattened per-segment DimValues (reduction loops
+/// collapsed) instead of walking the subtrees through the interpreter's
+/// write sink. Null \p Native, or a task without an enumerator, falls back
+/// to the interpreter walk; both paths produce byte-identical logs.
 BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
                               uint32_t TaskId, const ProgramInstance &Inst,
                               const NativeDispatch *Native);

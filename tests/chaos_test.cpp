@@ -616,20 +616,16 @@ TEST_F(ChaosTest, CliRejectsMalformedInjectSpec) {
 // must all behave exactly as the interpreted tier does.
 //===----------------------------------------------------------------------===//
 
-/// Compiles a native module over every segment subtree of \p Plan.
+/// Compiles a native module with one kernel per task of \p Plan.
 /// Null means the tier is unavailable on this machine (callers skip).
 std::shared_ptr<NativeModule> compileModuleFor(const ParallelPlan &Plan) {
-  std::vector<const ASTNode *> Roots;
-  for (const BlockTask &T : Plan.partition().Tasks)
-    for (const BlockTask::Segment &Seg : T.Segments)
-      Roots.push_back(Seg.Node);
   // SIMD routing pinned off: these tests assert bitwise agreement with the
   // serial interpreter, and the vector kernels use FMA (opt-in ULP policy,
   // covered by the simd suite). Scalar routing keeps the reduction order.
   NativeJitOptions Opts;
   Opts.Simd = SimdMode::Off;
   std::vector<Diagnostic> Diags;
-  return NativeModule::compile(Plan.nest(), Roots, Opts, Diags);
+  return NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
 }
 
 TEST_F(ChaosTest, InjectedThrowUnderNativeRollsBackBitwise) {
@@ -695,7 +691,8 @@ TEST_F(ChaosTest, RetryExhaustionUnderNativeDegradesToInterpretedReplay) {
 TEST_F(ChaosTest, CliInjectedCompilerFailureFallsBackAndVerifies) {
   auto [Rc, Out] =
       runCli("run matmul cxa --params=24 --block=8 --threads=4 "
-             "--native=block --inject='seed=7;cc-fail@native,count=1' "
+             "--native=task --task-level=0 "
+             "--inject='seed=7;cc-fail@native,count=1' "
              "--verify");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native-fallback"), std::string::npos) << Out;
@@ -705,7 +702,8 @@ TEST_F(ChaosTest, CliInjectedCompilerFailureFallsBackAndVerifies) {
 TEST_F(ChaosTest, CliInjectedDlsymFailureFallsBackAndVerifies) {
   auto [Rc, Out] =
       runCli("run matmul cxa --params=24 --block=8 --threads=4 "
-             "--native=block --inject='seed=7;dlsym-fail@native,count=1' "
+             "--native=task --task-level=0 "
+             "--inject='seed=7;dlsym-fail@native,count=1' "
              "--verify");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native-fallback"), std::string::npos) << Out;

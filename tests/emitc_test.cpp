@@ -106,14 +106,16 @@ TEST(EmitC, GuardsEmitAsIfs) {
 
 //===----------------------------------------------------------------------===//
 // Native-tier emission: the write-footprint enumerator companion and the
-// strip-mine-aware GEMM merge (DESIGN.md §15).
+// strip-mine-aware GEMM merge (DESIGN.md §15), through the task emitters
+// with a one-root segment sequence.
 //===----------------------------------------------------------------------===//
 
 TEST(EmitCWrites, EnumeratorSignatureReportsStoresAndCollapsesReductions) {
   BenchSpec Spec = makeMatMul();
   LoopNest Nest =
       generateShackledCode(*Spec.Prog, mmmShackleC(*Spec.Prog, 16));
-  std::string S = emitNativeWritesKernel(Nest, *Nest.Roots[0], "k_writes");
+  std::string S =
+      emitNativeTaskWritesKernel(Nest, {Nest.Roots[0].get()}, "k_writes");
   // Enumerators take no array pointers: they compute addresses, never data.
   EXPECT_NE(S.find("extern \"C\" void k_writes(const int64_t *dims, "
                    "shackle_native_write_sink sink, void *ctx)"),
@@ -132,7 +134,7 @@ TEST(EmitCWrites, TwoLevelCollapsesStripMinedReductionChain) {
   BenchSpec Spec = makeMatMul();
   LoopNest Nest = generateShackledCode(*Spec.Prog,
                                        mmmShackleTwoLevel(*Spec.Prog, 32, 4));
-  std::string S = emitNativeWritesKernel(Nest, *Nest.Roots[0], "w");
+  std::string S = emitNativeTaskWritesKernel(Nest, {Nest.Roots[0].get()}, "w");
   // Dim-relevance is transitive through inner-loop bounds: the k tile
   // loops (b4, b8) shift only the element loop t3's range, and t3 never
   // reaches an address, so all three collapse — the enumerator runs in
@@ -152,7 +154,8 @@ TEST(EmitC, GemmMergeSeesThroughStripMining) {
                                        mmmShackleTwoLevel(*Spec.Prog, 32, 4));
   NativeEmitOptions Opts;
   Opts.GemmHooks = true;
-  std::string S = emitNativeKernel(Nest, *Nest.Roots[0], "k", Opts);
+  std::string S =
+      emitNativeTaskKernel(Nest, {Nest.Roots[0].get()}, "k", Opts);
   EXPECT_NE(S.find("hooks->gemm("), std::string::npos) << S;
   // The element/tile pairs merge: the k range spans the whole 32-wide L2
   // tile (8 inner tiles of 4), not a single register tile.

@@ -124,9 +124,12 @@ end
 }
 
 struct ErrorCase {
+  const char *Name; ///< Stable test-name suffix.
   const char *Src;
   const char *Fragment; ///< Expected substring of the error.
 };
+
+void PrintTo(const ErrorCase &C, std::ostream *OS) { *OS << C.Name; }
 
 class FrontendErrors : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -141,21 +144,30 @@ TEST_P(FrontendErrors, RejectsWithDiagnostic) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, FrontendErrors,
     ::testing::Values(
-        ErrorCase{"param N\narray A[N]\ndo i = 0, N-1\nA[i] = B[i]\nend",
+        ErrorCase{"undeclared array",
+                  "param N\narray A[N]\ndo i = 0, N-1\nA[i] = B[i]\nend",
                   "unknown array"},
-        ErrorCase{"param N\narray A[N]\nA[j] = 1", "unknown variable"},
-        ErrorCase{"param N\narray A[N]\ndo i = 0, N-1\nA[i] = 1\n",
+        ErrorCase{"undeclared variable",
+                  "param N\narray A[N]\nA[j] = 1", "unknown variable"},
+        ErrorCase{"missing end",
+                  "param N\narray A[N]\ndo i = 0, N-1\nA[i] = 1\n",
                   "expected 'end'"},
-        ErrorCase{"param N\narray A[N]\ndo i = min(0, 1), N-1\nA[i] = 1\nend",
+        ErrorCase{"min in lower bound",
+                  "param N\narray A[N]\ndo i = min(0, 1), N-1\nA[i] = 1\nend",
                   "lower bounds take max"},
-        ErrorCase{"param N\narray A[N]\ndo i = 0, max(N-1, 5)\nA[i] = 1\nend",
+        ErrorCase{"max in upper bound",
+                  "param N\narray A[N]\ndo i = 0, max(N-1, 5)\nA[i] = 1\nend",
                   "upper bounds take min"},
-        ErrorCase{"param N\narray A[N][N]\nA[0] = 1",
+        ErrorCase{"wrong subscript count",
+                  "param N\narray A[N][N]\nA[0] = 1",
                   "wrong number of subscripts"},
-        ErrorCase{"param N\nparam N", "redefinition"},
-        ErrorCase{"param N\narray A[N]\ndo N = 0, 5\nA[0] = 1\nend",
+        ErrorCase{"param redefinition",
+                  "param N\nparam N", "redefinition"},
+        ErrorCase{"loop variable shadows param",
+                  "param N\narray A[N]\ndo N = 0, 5\nA[0] = 1\nend",
                   "shadows"},
-        ErrorCase{"param N\narray A[N]\nA[i+1] = 1", "unknown variable"}));
+        ErrorCase{"undeclared variable in affine subscript",
+                  "param N\narray A[N]\nA[i+1] = 1", "unknown variable"}));
 
 TEST(FrontendErrors, StrayCharacterCarriesLineAndColumn) {
   ParseResult R = parseProgram(

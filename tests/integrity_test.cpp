@@ -609,19 +609,15 @@ TEST_F(IntegrityTest, CliCorruptUndoConvergesThroughPristineReplay) {
 // committed bitwise like serial.
 //===----------------------------------------------------------------------===//
 
-/// Compiles a native module over every segment subtree of \p Plan.
+/// Compiles a native module with one kernel per task of \p Plan.
 std::shared_ptr<NativeModule> compileModuleFor(const ParallelPlan &Plan) {
-  std::vector<const ASTNode *> Roots;
-  for (const BlockTask &T : Plan.partition().Tasks)
-    for (const BlockTask::Segment &Seg : T.Segments)
-      Roots.push_back(Seg.Node);
   // SIMD routing pinned off: these tests assert bitwise agreement with the
   // serial interpreter, and the vector kernels use FMA (opt-in ULP policy,
   // covered by the simd suite). Scalar routing keeps the reduction order.
   NativeJitOptions Opts;
   Opts.Simd = SimdMode::Off;
   std::vector<Diagnostic> Diags;
-  return NativeModule::compile(Plan.nest(), Roots, Opts, Diags);
+  return NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
 }
 
 TEST_F(IntegrityTest, FlipUnderNativeIsDetectedAndRecomputedBitwise) {

@@ -160,6 +160,11 @@ struct CensusCase {
   bool ExpectLegal;
 };
 
+void PrintTo(const CensusCase &C, std::ostream *OS) {
+  *OS << "S2Ref=" << C.S2Ref << " S3Ref=" << C.S3Ref
+      << (C.ExpectLegal ? " legal" : " illegal");
+}
+
 class CholeskyCensus : public ::testing::TestWithParam<CensusCase> {};
 
 TEST_P(CholeskyCensus, ILPAndBruteForceAgree) {

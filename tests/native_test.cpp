@@ -25,15 +25,20 @@
 //===----------------------------------------------------------------------===//
 
 #include "emitc/EmitC.h"
+#include "frontend/Parser.h"
 #include "native/NativeJit.h"
 #include "parallel/ParallelExecutor.h"
 #include "parallel/UndoLog.h"
 #include "programs/Benchmarks.h"
+#include "service/PlanKey.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,14 +66,6 @@ std::pair<int, std::string> runCli(const std::string &Args) {
   return {WEXITSTATUS(Status), Out};
 }
 
-std::vector<const ASTNode *> segmentRoots(const ParallelPlan &Plan) {
-  std::vector<const ASTNode *> Roots;
-  for (const BlockTask &T : Plan.partition().Tasks)
-    for (const BlockTask::Segment &Seg : T.Segments)
-      Roots.push_back(Seg.Node);
-  return Roots;
-}
-
 std::shared_ptr<NativeModule>
 buildModule(const ParallelPlan &Plan, bool MicroBlas,
             std::vector<Diagnostic> *DiagsOut = nullptr) {
@@ -76,7 +73,7 @@ buildModule(const ParallelPlan &Plan, bool MicroBlas,
   Opts.UseMicroBlas = MicroBlas;
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M =
-      NativeModule::compile(Plan.nest(), segmentRoots(Plan), Opts, Diags);
+      NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
   if (DiagsOut)
     *DiagsOut = Diags;
   return M;
@@ -158,9 +155,10 @@ void expectOracleAgreement(const BenchSpec &Spec, const ShackleChain &Chain,
       ParallelRunStats S = Plan.run(Nat, RO);
       EXPECT_FALSE(S.Failed) << Plan.summary();
       EXPECT_EQ(S.Mode, ParallelMode::Parallel);
-      EXPECT_GT(S.NativeSegments, 0u)
-          << "native tier never dispatched (seed " << Seed << ", threads "
-          << Threads << ")";
+      EXPECT_EQ(S.NativeTaskCalls, Plan.partition().Tasks.size())
+          << "every task must dispatch its kernel (seed " << Seed
+          << ", threads " << Threads << ")";
+      EXPECT_GT(S.NativeSegments, 0u);
       EXPECT_EQ(S.NativeOracleReruns, 0u)
           << "clean data must never trip the poison oracle";
       EXPECT_EQ(S.NativeSegments + S.InterpSegments, S.SegmentsRun);
@@ -255,7 +253,7 @@ TEST_F(NativeTest, TwoLevelMMMAtOuterTaskLevelBitwise) {
   NOpts.Simd = SimdMode::Off;
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M =
-      NativeModule::compile(Plan.nest(), segmentRoots(Plan), NOpts, Diags);
+      NativeModule::compile(Plan.nest(), Plan.partition(), NOpts, Diags);
   ASSERT_NE(M, nullptr);
 
   ProgramInstance Init(P, {32});
@@ -285,30 +283,37 @@ TEST_F(NativeTest, EmittedTextHasAbiAndGemmRouting) {
   const Program &P = *Spec.Prog;
   ParallelPlan Plan = ParallelPlan::build(P, mmmShackleCxA(P, 8), {32});
   ASSERT_TRUE(Plan.parallelReady());
-  std::vector<const ASTNode *> Roots = segmentRoots(Plan);
+  ASSERT_FALSE(Plan.partition().Tasks.empty());
+  std::vector<const ASTNode *> Roots;
+  for (const BlockTask::Segment &Seg : Plan.partition().Tasks[0].Segments)
+    Roots.push_back(Seg.Node);
   ASSERT_FALSE(Roots.empty());
 
   NativeEmitOptions On;
   On.GemmHooks = true;
-  std::vector<NativeKernelSpec> Specs{{"shk_native_k0", &Plan.nest(),
-                                       Roots.front()}};
-  std::string TU = emitNativeTranslationUnit(Specs, On);
+  std::vector<NativeTaskKernelSpec> Specs{
+      {"shk_native_t0", &Plan.nest(), Roots}};
+  unsigned Routed = 0;
+  std::string TU = emitNativeTranslationUnit(Specs, On, &Routed);
   EXPECT_NE(TU.find("shackle_native_abi_version"), std::string::npos);
   EXPECT_NE(TU.find("struct shackle_native_hooks"), std::string::npos);
-  EXPECT_NE(TU.find("extern \"C\" void shk_native_k0"), std::string::npos);
+  EXPECT_NE(TU.find("extern \"C\" void shk_native_t0("), std::string::npos);
+  EXPECT_NE(TU.find("extern \"C\" void shk_native_t0_writes("),
+            std::string::npos);
+  EXPECT_EQ(Routed, 1u);
   // The MMM block body is a dense rectangular triple loop: the matcher
   // must route it, guarded, through hooks->gemm with plain loops kept as
   // the else branch.
-  std::string Kern =
-      emitNativeKernel(Plan.nest(), *Roots.front(), "k", On);
+  std::string Kern = emitNativeTaskKernel(Plan.nest(), Roots, "k", On);
   EXPECT_NE(Kern.find("hooks->gemm"), std::string::npos);
   EXPECT_NE(Kern.find("else"), std::string::npos);
 
   NativeEmitOptions Off;
   Off.GemmHooks = false;
-  std::string Plain =
-      emitNativeKernel(Plan.nest(), *Roots.front(), "k", Off);
+  std::string Plain = emitNativeTaskKernel(Plan.nest(), Roots, "k", Off);
   EXPECT_EQ(Plain.find("hooks->gemm"), std::string::npos);
+  emitNativeTranslationUnit(Specs, Off, &Routed);
+  EXPECT_EQ(Routed, 0u);
 }
 
 TEST_F(NativeTest, ModuleStatsCountKernelsAndRouting) {
@@ -318,13 +323,18 @@ TEST_F(NativeTest, ModuleStatsCountKernelsAndRouting) {
   ASSERT_TRUE(Plan.parallelReady());
   std::shared_ptr<NativeModule> M = buildModule(Plan, /*MicroBlas=*/true);
   ASSERT_NE(M, nullptr);
-  EXPECT_GT(M->stats().NumKernels, 0u);
-  EXPECT_GT(M->stats().GemmRouted, 0u);
+  // Every flat cxa task replays the same subtree: one shared kernel.
+  EXPECT_EQ(M->stats().TaskKernels, 1u);
+  EXPECT_EQ(M->stats().GemmRouted, 1u);
   EXPECT_GT(M->stats().CompileMs, 0.0);
-  // Every distinct segment root resolves; unknown roots do not.
-  for (const ASTNode *R : segmentRoots(Plan))
-    EXPECT_NE(M->fnFor(R), nullptr);
-  EXPECT_EQ(M->fnFor(nullptr), nullptr);
+  // Every task id resolves; ids past the partition do not.
+  const std::size_t NumTasks = Plan.partition().Tasks.size();
+  for (uint32_t T = 0; T < NumTasks; ++T) {
+    EXPECT_NE(M->taskFnFor(T), nullptr);
+    EXPECT_NE(M->taskWritesFor(T), nullptr);
+  }
+  EXPECT_EQ(M->taskFnFor(static_cast<uint32_t>(NumTasks)), nullptr);
+  EXPECT_EQ(M->taskWritesFor(static_cast<uint32_t>(NumTasks)), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -342,7 +352,7 @@ TEST(NativeFallback, MissingCompilerProbesFalseAndCompileFallsBack) {
   ASSERT_TRUE(Plan.parallelReady());
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M =
-      NativeModule::compile(Plan.nest(), segmentRoots(Plan), Opts, Diags);
+      NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
   EXPECT_EQ(M, nullptr);
   EXPECT_TRUE(hasFallbackDiag(Diags));
 
@@ -440,6 +450,61 @@ TEST_F(NativeTest, ModuleCacheRoundTrip) {
   EXPECT_EQ(C.size(), 0u);
 }
 
+TEST_F(NativeTest, ModuleServesARebuiltPlanWithTheSamePlanKey) {
+  // The module cache hands a module to any plan with the same PlanKey, so
+  // a module must not depend on the plan object it was compiled from. The
+  // registry's cholesky-right `stores` config and examples/dsl/cholesky.dsl
+  // at the same B and N share a key: compile against the first plan,
+  // destroy it, and run the second plan on the first plan's module.
+  const int64_t N = 48, B = 16;
+  const MachineShape Shape = detectMachineShape();
+  std::shared_ptr<NativeModule> M;
+  uint64_t FirstKey = 0;
+  {
+    BenchSpec Spec = makeCholeskyRight();
+    const Program &P = *Spec.Prog;
+    ShackleChain Chain = choleskyShackleStores(P, B);
+    ParallelPlan Plan = ParallelPlan::build(P, Chain, {N});
+    ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
+    FirstKey = makePlanKey(P, Chain, {N}, 0, Shape).digest();
+    NativeJitOptions Opts;
+    Opts.Simd = SimdMode::Off;
+    std::vector<Diagnostic> Diags;
+    M = NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
+    ASSERT_NE(M, nullptr) << (Diags.empty() ? "" : Diags.front().str());
+  }
+
+  std::ifstream In(std::string(SHACKLE_SOURCE_DIR) +
+                   "/examples/dsl/cholesky.dsl");
+  ASSERT_TRUE(In) << "examples/dsl/cholesky.dsl not found";
+  std::stringstream Src;
+  Src << In.rdbuf();
+  ParseResult R = parseProgram(Src.str());
+  ASSERT_TRUE(R) << R.Diag.str();
+  const Program &P = *R.Prog;
+  ShackleChain Chain;
+  Chain.Factors.push_back(DataShackle::onStores(
+      P, DataBlocking::rectangular(0, {B, B}, {1, 0})));
+  ASSERT_EQ(makePlanKey(P, Chain, {N}, 0, Shape).digest(), FirstKey);
+  ParallelPlan Plan = ParallelPlan::build(P, Chain, {N});
+  ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
+
+  ProgramInstance Ref(P, {N});
+  Ref.fillRandom(29, 0.5, 1.5);
+  for (int64_t I = 0; I < N; ++I)
+    Ref.buffer(0)[static_cast<std::size_t>(I * N + I)] += 2.0 * N;
+  ProgramInstance Nat = Ref;
+  Plan.runSerial(Ref);
+  ParallelRunOptions RO;
+  RO.NumThreads = 4;
+  RO.Native = M.get();
+  ParallelRunStats S = Plan.run(Nat, RO);
+  EXPECT_FALSE(S.Failed);
+  EXPECT_EQ(S.NativeTaskCalls, Plan.partition().Tasks.size());
+  EXPECT_EQ(S.InterpSegments, 0u);
+  EXPECT_TRUE(Ref.bitwiseEqual(Nat)) << Plan.summary();
+}
+
 //===----------------------------------------------------------------------===//
 // Write-footprint enumerators: the compiled `_writes` companions must
 // report byte-for-byte the footprint the interpreter walk collects — the
@@ -459,12 +524,14 @@ void expectFootprintAgreement(const BenchSpec &Spec,
   ASSERT_NE(M, nullptr);
   ProgramInstance Inst(P, Params);
   Inst.fillRandom(5, 0.5, 1.5);
-  for (const BlockTask &T : Plan.partition().Tasks) {
-    for (const BlockTask::Segment &Seg : T.Segments)
-      ASSERT_NE(M->writesFor(Seg.Node), nullptr)
-          << "segment missing its compiled write enumerator";
+  const std::vector<BlockTask> &Tasks = Plan.partition().Tasks;
+  for (uint32_t Id = 0; Id < Tasks.size(); ++Id) {
+    const BlockTask &T = Tasks[Id];
+    ASSERT_NE(M->taskWritesFor(Id), nullptr)
+        << "task " << Id << " missing its compiled write enumerator";
     BlockUndoLog Interp = captureBlockUndo(Plan.nest(), T, Inst);
-    BlockUndoLog Native = captureBlockUndo(Plan.nest(), T, Inst, M.get());
+    BlockUndoLog Native =
+        captureBlockUndo(Plan.nest(), T, Id, Inst, M.get());
     ASSERT_EQ(Interp.Entries.size(), Native.Entries.size());
     for (std::size_t I = 0; I < Interp.Entries.size(); ++I) {
       EXPECT_EQ(Interp.Entries[I].ArrayId, Native.Entries[I].ArrayId);
@@ -499,10 +566,11 @@ TEST_F(NativeTest, WriteEnumeratorMatchesInterpreterWalkTriangular) {
 // CLI end to end
 //===----------------------------------------------------------------------===//
 
-TEST_F(NativeTest, CliNativeBlockMatchesInterpreter) {
+TEST_F(NativeTest, CliNativeTaskMatchesInterpreter) {
   // --verify does a bitwise compare against a fresh serial-interpreted
-  // execution inside the CLI itself: exit 0 with --native=block IS the
-  // differential oracle passing end to end.
+  // execution inside the CLI itself: exit 0 with --native=task IS the
+  // differential oracle passing end to end. --task-level=0 keeps the flat
+  // plan (--native=task alone defaults to auto).
   auto [RcInterp, OutInterp] = runCli(
       "run matmul cxa --block=8 --params=32 --threads=4 --verify "
       "--native=off");
@@ -512,7 +580,7 @@ TEST_F(NativeTest, CliNativeBlockMatchesInterpreter) {
   // stays bitwise (the simd suite pins the vector-kernel ULP contract).
   auto [Rc, Out] = runCli(
       "run matmul cxa --block=8 --params=32 --threads=4 --verify "
-      "--native=block --native-simd=off");
+      "--native=task --task-level=0 --native-simd=off");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native:"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
@@ -521,28 +589,61 @@ TEST_F(NativeTest, CliNativeBlockMatchesInterpreter) {
 TEST_F(NativeTest, CliTwoLevelNativeMatchesInterpreter) {
   auto [Rc, Out] = runCli(
       "run matmul two-level --block=32 --params=64 --task-level=2 "
-      "--threads=4 --verify --native=block --native-simd=off");
+      "--threads=4 --verify --native=task --native-simd=off");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native:"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
 }
 
 TEST_F(NativeTest, CliNativeStatsLineReportsKernels) {
-  auto [Rc, Out] = runCli(
-      "run matmul cxa --block=8 --params=32 --threads=2 --native=block");
+  auto [Rc, Out] = runCli("run matmul cxa --block=8 --params=32 --threads=2 "
+                          "--native=task --task-level=0");
   EXPECT_EQ(Rc, 0) << Out;
-  EXPECT_NE(Out.find("native:"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("kernels="), std::string::npos) << Out;
+  EXPECT_NE(Out.find("native: mode=task kernels=1 "), std::string::npos)
+      << Out;
   EXPECT_NE(Out.find("gemm-routed="), std::string::npos) << Out;
+  EXPECT_EQ(Out.find("task-kernels="), std::string::npos) << Out;
+}
+
+/// The gemm-routed count on the native: line, or -1 when absent.
+long gemmRouted(const std::string &Out) {
+  std::size_t At = Out.find("gemm-routed=");
+  if (At == std::string::npos)
+    return -1;
+  return std::strtol(Out.c_str() + At + 12, nullptr, 10);
+}
+
+TEST_F(NativeTest, CliGemmRoutedFollowsMicroBlasFlag) {
+  auto [RcOn, On] = runCli("run matmul two-level --block=32 --params=64 "
+                           "--native=task --native-microblas=on");
+  EXPECT_EQ(RcOn, 0) << On;
+  EXPECT_GT(gemmRouted(On), 0) << On;
+  auto [RcOff, Off] = runCli("run matmul two-level --block=32 --params=64 "
+                             "--native=task --native-microblas=off");
+  EXPECT_EQ(RcOff, 0) << Off;
+  EXPECT_EQ(gemmRouted(Off), 0) << Off;
 }
 
 TEST(NativeFallbackCli, BrokenCompilerFallsBackAndStillVerifies) {
   auto [Rc, Out] = runCli(
       "run matmul cxa --block=8 --params=32 --threads=2 --verify "
-      "--native=block --native-cxx=/nonexistent/shackle-cc");
+      "--native=task --task-level=0 --native-cxx=/nonexistent/shackle-cc");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native-fallback"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
+}
+
+TEST(NativeCli, RejectsUnknownNativeModes) {
+  // 'block' was the retired per-segment grain; it is now an unknown value.
+  for (const char *Mode : {"block", "bogus", ""}) {
+    auto [Rc, Out] = runCli(
+        std::string("run matmul cxa --block=8 --params=32 --native=") +
+        Mode);
+    EXPECT_EQ(Rc, 1) << Mode << ": " << Out;
+    EXPECT_NE(Out.find("[usage-error] --native expects 'off' or 'task'"),
+              std::string::npos)
+        << Out;
+  }
 }
 
 } // namespace

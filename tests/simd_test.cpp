@@ -178,43 +178,33 @@ protected:
   }
 };
 
-std::vector<const ASTNode *> segmentRoots(const ParallelPlan &Plan) {
-  std::vector<const ASTNode *> Roots;
-  for (const BlockTask &T : Plan.partition().Tasks)
-    for (const BlockTask::Segment &Seg : T.Segments)
-      Roots.push_back(Seg.Node);
-  return Roots;
-}
-
 std::shared_ptr<NativeModule> buildModule(const ParallelPlan &Plan,
-                                          bool MicroBlas, SimdMode Simd,
-                                          bool TaskGrain = false) {
+                                          bool MicroBlas, SimdMode Simd) {
   NativeJitOptions Opts;
   Opts.UseMicroBlas = MicroBlas;
   Opts.Simd = Simd;
-  Opts.TaskGrain = TaskGrain;
   std::vector<Diagnostic> Diags;
-  return NativeModule::compile(Plan.nest(), segmentRoots(Plan),
-                               TaskGrain ? &Plan.partition() : nullptr, Opts,
-                               Diags);
+  return NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
 }
 
 /// Interpreted reference vs native execution at every SIMD mode, thread
 /// count, and seed. Tol 0.0 = bitwise (routing off); else 1e-12.
+/// AutoLevel plans at the auto task level (what `--native=task` picks), so
+/// each task replays the inner shackle level inside its kernel.
 void expectSimdOracleAgreement(const BenchSpec &Spec,
                                const ShackleChain &Chain,
                                std::vector<int64_t> Params, bool MicroBlas,
-                               SimdMode Simd, bool TaskGrain, double Tol,
+                               SimdMode Simd, bool AutoLevel, double Tol,
                                unsigned SpdDim = 0) {
   const Program &P = *Spec.Prog;
-  ParallelPlan Plan = ParallelPlan::build(P, Chain, Params);
+  ParallelPlanOptions PO;
+  PO.AutoTaskLevel = AutoLevel;
+  ParallelPlan Plan = ParallelPlan::build(P, Chain, Params, PO);
   ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
-  std::shared_ptr<NativeModule> M =
-      buildModule(Plan, MicroBlas, Simd, TaskGrain);
+  EXPECT_EQ(Plan.hierarchical(), AutoLevel) << Plan.summary();
+  std::shared_ptr<NativeModule> M = buildModule(Plan, MicroBlas, Simd);
   ASSERT_NE(M, nullptr);
-  if (TaskGrain) {
-    EXPECT_GT(M->stats().TaskKernels, 0u);
-  }
+  EXPECT_GT(M->stats().TaskKernels, 0u);
 
   for (uint64_t Seed : {7ull, 23ull, 101ull}) {
     ProgramInstance Init(P, Params);
@@ -238,10 +228,8 @@ void expectSimdOracleAgreement(const BenchSpec &Spec,
       ParallelRunStats S = Plan.run(Nat, RO);
       EXPECT_FALSE(S.Failed) << Plan.summary();
       EXPECT_GT(S.NativeSegments, 0u);
-      if (TaskGrain) {
-        EXPECT_GT(S.NativeTaskCalls, 0u)
-            << "task-grain module never dispatched a task kernel";
-      }
+      EXPECT_EQ(S.NativeTaskCalls, Plan.partition().Tasks.size())
+          << "every task must dispatch its kernel";
       if (Tol == 0.0)
         EXPECT_TRUE(Ref.bitwiseEqual(Nat))
             << "seed " << Seed << " threads " << Threads;
@@ -256,14 +244,14 @@ TEST_F(SimdNativeTest, MMMTwoLevelSimdOffBitwise) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/false, SimdMode::Off,
-                            /*TaskGrain=*/false, /*Tol=*/0.0);
+                            /*AutoLevel=*/false, /*Tol=*/0.0);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAutoWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/true, SimdMode::Auto,
-                            /*TaskGrain=*/false, /*Tol=*/1e-12);
+                            /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx2WithinUlpBound) {
@@ -272,7 +260,7 @@ TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx2WithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/true, SimdMode::Avx2,
-                            /*TaskGrain=*/false, /*Tol=*/1e-12);
+                            /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx512WithinUlpBound) {
@@ -281,7 +269,7 @@ TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx512WithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/true, SimdMode::Avx512,
-                            /*TaskGrain=*/false, /*Tol=*/1e-12);
+                            /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,14 +280,14 @@ TEST_F(SimdNativeTest, TaskGrainMMMBitwise) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/false, SimdMode::Off,
-                            /*TaskGrain=*/true, /*Tol=*/0.0);
+                            /*AutoLevel=*/true, /*Tol=*/0.0);
 }
 
 TEST_F(SimdNativeTest, TaskGrainMMMSimdAutoWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
                             /*MicroBlas=*/true, SimdMode::Auto,
-                            /*TaskGrain=*/true, /*Tol=*/1e-12);
+                            /*AutoLevel=*/true, /*Tol=*/1e-12);
 }
 
 /// Cholesky tasks carry several segments each (the factor/update subtrees
@@ -310,7 +298,7 @@ TEST_F(SimdNativeTest, TaskGrainMultiSegmentCholeskyBitwise) {
   expectSimdOracleAgreement(Spec,
                             choleskyShackleStores(*Spec.Prog, 16), {48},
                             /*MicroBlas=*/false, SimdMode::Off,
-                            /*TaskGrain=*/true, /*Tol=*/0.0, /*SpdDim=*/48);
+                            /*AutoLevel=*/false, /*Tol=*/0.0, /*SpdDim=*/48);
 }
 
 /// The compiled task-grain `_writes` enumerator must produce a
@@ -323,8 +311,7 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
   ParallelPlan Plan = ParallelPlan::build(P, Chain, {48});
   ASSERT_TRUE(Plan.parallelReady());
   std::shared_ptr<NativeModule> M =
-      buildModule(Plan, /*MicroBlas=*/false, SimdMode::Off,
-                  /*TaskGrain=*/true);
+      buildModule(Plan, /*MicroBlas=*/false, SimdMode::Off);
   ASSERT_NE(M, nullptr);
 
   ProgramInstance Inst(P, {48});
@@ -348,13 +335,10 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
       << "battery lost its multi-segment coverage; pick another plan";
 }
 
-/// Task-grain and block-grain modules must not share a cache slot: the
-/// config hash separates them (and resolved SIMD levels).
-TEST(SimdConfig, NativeConfigHashSeparatesGrainAndSimd) {
+/// Modules compiled for different resolved SIMD levels must not share a
+/// cache slot: the config hash separates them.
+TEST(SimdConfig, NativeConfigHashSeparatesSimdLevels) {
   NativeJitOptions A;
-  NativeJitOptions B = A;
-  B.TaskGrain = true;
-  EXPECT_NE(nativeConfigHash(A), nativeConfigHash(B));
   NativeJitOptions C = A;
   C.Simd = SimdMode::Off;
   if (resolveSimdLevel(A.Simd) != SimdLevel::Scalar) {
@@ -391,14 +375,14 @@ TEST_F(SimdCliTest, NativeSimdAutoVerifiesWithinUlp) {
 
 TEST_F(SimdCliTest, NativeSimdRejectsUnknownWidth) {
   auto [Code, Out] = runCli("run matmul c --block=8 --params=32 "
-                            "--native=block --native-simd=sse9");
+                            "--native=task --native-simd=sse9");
   EXPECT_NE(Code, 0);
   EXPECT_NE(Out.find("--native-simd"), std::string::npos) << Out;
 }
 
 TEST_F(SimdCliTest, EnvForcesScalarOverAuto) {
   auto [Code, Out] =
-      runCli("run matmul two-level --block=8 --params=32 --native=block "
+      runCli("run matmul two-level --block=8 --params=32 --native=task "
              "--native-simd=auto --verify",
              /*Env=*/"SHACKLE_NATIVE_SIMD=off");
   EXPECT_EQ(Code, 0) << Out;

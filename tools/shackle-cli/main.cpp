@@ -83,13 +83,13 @@ int usage() {
       "      (integrity: 'undo' checksums undo logs before restores\n"
       "       [default]; 'block' also commits a block only after two\n"
       "       agreeing executions; --paranoia forces 'block')\n"
-      "      [--native=off|block|task] [--native-cxx=PATH]\n"
+      "      [--native=off|task] [--native-cxx=PATH]\n"
       "      [--native-microblas=on|off] [--native-simd=off|avx2|avx512|auto]\n"
       "      [--perf] (hardware counters around the run: cycles,\n"
       "       instructions, L1/L2/LLC misses via perf_event_open; prints a\n"
       "       perf: stats line, or the unavailability reason)\n"
-      "      (native tier: JIT-compile block bodies into a shared object\n"
-      "       and dispatch function pointers instead of the interpreter;\n"
+      "      (native tier: JIT-compile one function per block task into a\n"
+      "       shared object and call it instead of the interpreter;\n"
       "       'task' also defaults --task-level=auto; any compile/load\n"
       "       failure falls back to the interpreter with a\n"
       "       [native-fallback] warning; see docs/CLI.md)\n"
@@ -758,16 +758,14 @@ int main(int Argc, char **Argv) {
     if (hasFlag(Argc, Argv, "paranoia"))
       RunOpts.VerifyData = DataVerify::Block;
 
-    // Native tier selection (DESIGN.md §15). 'block' compiles one kernel
-    // per distinct task-segment subtree at whatever task level the plan
-    // uses; 'task' is the same, but defaults --task-level=auto so each
-    // kernel covers a whole outer task (inner levels included).
+    // Native tier selection (DESIGN.md §15). 'task' compiles one kernel
+    // per block task and defaults --task-level=auto, so each kernel covers
+    // a whole outer task (inner levels included).
     std::string NativeMode = flagString(Argc, Argv, "native", "off");
-    if (NativeMode != "off" && NativeMode != "block" &&
-        NativeMode != "task") {
+    if (NativeMode != "off" && NativeMode != "task") {
       std::fprintf(stderr,
-                   "error: [usage-error] --native expects 'off', 'block', "
-                   "or 'task', got '%s'\n",
+                   "error: [usage-error] --native expects 'off' or 'task', "
+                   "got '%s'\n",
                    NativeMode.c_str());
       return 1;
     }
@@ -791,7 +789,6 @@ int main(int Argc, char **Argv) {
                    NativeSimd.c_str());
       return 1;
     }
-    NativeOpts.TaskGrain = NativeMode == "task";
     RunOpts.HwCounters = hasFlag(Argc, Argv, "perf");
 
     ParallelPlanOptions Opts;
@@ -881,11 +878,11 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-    // Native tier: compile the plan's distinct segment subtrees once,
-    // through the process-wide module cache keyed by the same canonical
-    // PlanKey digest the service plan cache fingerprints plans with (mixed
-    // with the native config hash, so a compiler/flag change can never
-    // revive a stale module). A null module after diagnostics means the
+    // Native tier: compile the plan's task kernels once, through the
+    // process-wide module cache keyed by the same canonical PlanKey digest
+    // the service plan cache fingerprints plans with (mixed with the native
+    // config hash, so a compiler/flag change can never revive a stale
+    // module). A null module after diagnostics means the
     // interpreter tier runs — never an error.
     std::shared_ptr<NativeModule> NativeMod;
     bool NativeCacheHit = false;
@@ -899,15 +896,9 @@ int main(int Argc, char **Argv) {
       NativeMod = NativeModuleCache::instance().lookup(ModKey);
       NativeCacheHit = NativeMod != nullptr;
       if (!NativeMod) {
-        std::vector<const ASTNode *> Roots;
-        for (const BlockTask &T : Plan.partition().Tasks)
-          for (const BlockTask::Segment &Seg : T.Segments)
-            Roots.push_back(Seg.Node);
         std::vector<Diagnostic> NativeDiags;
-        NativeMod = NativeModule::compile(
-            Plan.nest(), Roots,
-            NativeOpts.TaskGrain ? &Plan.partition() : nullptr, NativeOpts,
-            NativeDiags);
+        NativeMod = NativeModule::compile(Plan.nest(), Plan.partition(),
+                                          NativeOpts, NativeDiags);
         for (const Diagnostic &D : NativeDiags)
           std::fprintf(stderr, "%s\n", D.str().c_str());
         if (NativeMod)
@@ -968,12 +959,12 @@ int main(int Argc, char **Argv) {
       if (NativeMod) {
         const NativeJitStats &NS = NativeMod->stats();
         std::printf("native: mode=%s kernels=%u gemm-routed=%u simd=%s "
-                    "task-kernels=%u cache=%s "
+                    "cache=%s "
                     "segments=%llu interp=%llu task-calls=%llu "
                     "oracle-reruns=%llu "
                     "emit=%.2fms compile=%.2fms load=%.2fms\n",
-                    NativeMode.c_str(), NS.NumKernels, NS.GemmRouted,
-                    simdLevelName(NS.SimdUsed), NS.TaskKernels,
+                    NativeMode.c_str(), NS.TaskKernels, NS.GemmRouted,
+                    simdLevelName(NS.SimdUsed),
                     NativeCacheHit ? "hit" : "miss",
                     static_cast<unsigned long long>(Stats.NativeSegments),
                     static_cast<unsigned long long>(Stats.InterpSegments),
