@@ -176,18 +176,6 @@ inline void setLocalityStats(benchmark::State &St, double Steals,
   St.counters["bytes_migrated"] = benchmark::Counter(BytesMigrated);
 }
 
-/// Tags a parallel-run benchmark with its fault-tolerance telemetry so
-/// corruption sweeps are diffable from the JSON output alone: faults
-/// injected (from the process-wide FaultInjector counters), rollback
-/// retries spent recovering, and whether the run degraded to the serial
-/// replay (0/1).
-inline void setFaultStats(benchmark::State &St, double FaultsInjected,
-                          double Retries, double Degraded) {
-  St.counters["faults_injected"] = benchmark::Counter(FaultsInjected);
-  St.counters["retries"] = benchmark::Counter(Retries);
-  St.counters["degraded"] = benchmark::Counter(Degraded);
-}
-
 /// Tags a service benchmark with the plan-cache counters behind the run
 /// (docs/SERVE.md): cache hits/misses, single-flight coalesces, and Omega
 /// queries avoided through cached verdicts, plus the measured request
@@ -283,8 +271,6 @@ public:
     double HomeHitPct = 0.0;
     int64_t BytesMigrated = 0;
     int64_t L1Misses = 0, L2Misses = 0;
-    /// Fault-tolerance telemetry (0 unless set via setFaultStats).
-    int64_t FaultsInjected = 0, Retries = 0, Degraded = 0;
     /// Plan-cache service telemetry (0 unless set via setServiceStats).
     int64_t Hits = 0, Misses = 0, Coalesced = 0, SolverSaved = 0;
     double ReqPerS = 0.0;
@@ -334,9 +320,6 @@ public:
       Rec.BytesMigrated = Counter("bytes_migrated");
       Rec.L1Misses = Counter("l1_misses");
       Rec.L2Misses = Counter("l2_misses");
-      Rec.FaultsInjected = Counter("faults_injected");
-      Rec.Retries = Counter("retries");
-      Rec.Degraded = Counter("degraded");
       Rec.Hits = Counter("hits");
       Rec.Misses = Counter("misses");
       Rec.Coalesced = Counter("coalesced");
@@ -403,8 +386,6 @@ inline bool writeJsonRecords(const char *Path,
                  "\"steals\": %lld, \"local_steals\": %lld, "
                  "\"home_hit_pct\": %.1f, \"bytes_migrated\": %lld, "
                  "\"l1_misses\": %lld, \"l2_misses\": %lld, "
-                 "\"faults_injected\": %lld, \"retries\": %lld, "
-                 "\"degraded\": %lld, "
                  "\"hits\": %lld, \"misses\": %lld, \"coalesced\": %lld, "
                  "\"solver_saved\": %lld, \"req_per_s\": %.1f, "
                  "\"shed\": %lld, \"deadline_expired\": %lld, "
@@ -427,9 +408,6 @@ inline bool writeJsonRecords(const char *Path,
                  static_cast<long long>(Rs[I].BytesMigrated),
                  static_cast<long long>(Rs[I].L1Misses),
                  static_cast<long long>(Rs[I].L2Misses),
-                 static_cast<long long>(Rs[I].FaultsInjected),
-                 static_cast<long long>(Rs[I].Retries),
-                 static_cast<long long>(Rs[I].Degraded),
                  static_cast<long long>(Rs[I].Hits),
                  static_cast<long long>(Rs[I].Misses),
                  static_cast<long long>(Rs[I].Coalesced),

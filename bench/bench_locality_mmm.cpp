@@ -16,10 +16,11 @@
 //   mode 2  random       round-robin seeding plus seeded random-victim
 //                        stealing - the locality-oblivious worst case
 //
-// BM_LocalityExec sweeps threads {1, 2, 4, 8} at two task levels (flat and
-// outer-blocks-only) and reports, per configuration, the per-run mean of
-// the steal telemetry over all timed iterations: steals / local_steals /
-// home_hit_pct / bytes_migrated. The acceptance bar is affinity cutting
+// BM_LocalityExec sweeps threads {1, 2, 4, 8}, clamped to the host's cores,
+// at two task levels (flat and outer-blocks-only) and reports, per
+// configuration, the per-run mean of the steal telemetry over all timed
+// iterations: steals / local_steals / home_hit_pct / bytes_migrated.
+// The acceptance bar is affinity cutting
 // total steals by >= 2x against round-robin at 4+ threads. The geometry
 // {N=64, Outer=16, Inner=4} is DAG-shape-equivalent to the paper-scale
 // {N=1024, Outer=256, Inner=64} configuration (same block counts per
@@ -50,6 +51,11 @@
 #include "interp/Interpreter.h"
 #include "parallel/ParallelExecutor.h"
 #include "programs/Benchmarks.h"
+
+#include <algorithm>
+#include <initializer_list>
+#include <thread>
+#include <vector>
 
 using namespace shackle;
 using namespace shackle_bench;
@@ -439,14 +445,27 @@ void BM_LocalitySim(benchmark::State &St) {
   St.counters["makespan_ticks"] = static_cast<double>(Out.Makespan);
 }
 
+/// The thread counts of \p Sweep the host has cores for, or just the core
+/// count when none fit: a sweep never oversubscribes the machine.
+std::vector<int64_t> upToCores(std::initializer_list<int64_t> Sweep) {
+  int64_t Cores = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<int64_t> Out;
+  for (int64_t T : Sweep)
+    if (T <= Cores)
+      Out.push_back(T);
+  if (Out.empty())
+    Out.push_back(Cores);
+  return Out;
+}
+
 void ExecSweep(benchmark::internal::Benchmark *B) {
-  for (int64_t Threads : {1, 2, 4, 8})
+  for (int64_t Threads : upToCores({1, 2, 4, 8}))
     for (int64_t Level : {0, 2})
       for (int64_t Mode : {0, 1, 2})
         B->Args({64, 16, Level, Threads, Mode});
   // Wider outer grid (8x8 blocks, longer k chains): more release traffic,
   // so the placement policies separate more clearly.
-  for (int64_t Threads : {4, 8})
+  for (int64_t Threads : upToCores({4, 8}))
     for (int64_t Mode : {0, 1, 2})
       B->Args({64, 8, 2, Threads, Mode});
   // Non-dividing N: the outer grid has ragged boundary blocks, so task
@@ -454,7 +473,7 @@ void ExecSweep(benchmark::internal::Benchmark *B) {
   // blocks). This is where weight-balanced affinity placement earns its
   // keep: weight-oblivious round-robin seeding turns the imbalance into
   // steals.
-  for (int64_t Threads : {4, 8})
+  for (int64_t Threads : upToCores({4, 8}))
     for (int64_t Mode : {0, 1, 2})
       B->Args({72, 16, 2, Threads, Mode});
 }

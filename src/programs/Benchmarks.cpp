@@ -29,6 +29,20 @@ ArrayRef ref(unsigned Array, std::initializer_list<AffineExpr> Idx) {
   return R;
 }
 
+/// Adds 3N (N = parameter 0) to the diagonal of array \p A. A fillRandom
+/// input in [0.5, 1.5] then becomes strictly diagonally dominant, hence
+/// positive definite for the factorizations that read its lower triangle.
+/// Band storage is reached through the same logical offsets.
+std::function<void(ProgramInstance &)> boostDiagonal(unsigned A) {
+  return [A](ProgramInstance &Inst) {
+    int64_t N = Inst.paramValue(0);
+    for (int64_t I = 0; I < N; ++I) {
+      int64_t Idx[2] = {I, I};
+      Inst.buffer(A)[Inst.offset(A, Idx)] += 3.0 * static_cast<double>(N);
+    }
+  };
+}
+
 /// Finds a statement id by label.
 unsigned stmtByLabel(const Program &P, const std::string &Label) {
   for (unsigned Id = 0; Id < P.getNumStmts(); ++Id)
@@ -105,6 +119,7 @@ BenchSpec shackle::makeCholeskyRight() {
   Spec.Name = "cholesky-right";
   Spec.Prog = std::move(P);
   Spec.MainArray = A;
+  Spec.Condition = boostDiagonal(A);
   Spec.Flops = [](const std::vector<int64_t> &Pv) {
     double N = static_cast<double>(Pv[0]);
     return N * N * N / 3.0;
@@ -140,6 +155,7 @@ BenchSpec shackle::makeCholeskyLeft() {
   Spec.Name = "cholesky-left";
   Spec.Prog = std::move(P);
   Spec.MainArray = A;
+  Spec.Condition = boostDiagonal(A);
   Spec.Flops = [](const std::vector<int64_t> &Pv) {
     double N = static_cast<double>(Pv[0]);
     return N * N * N / 3.0;
@@ -330,6 +346,7 @@ BenchSpec shackle::makeCholeskyBanded() {
   Spec.Name = "cholesky-banded";
   Spec.Prog = std::move(P);
   Spec.MainArray = A;
+  Spec.Condition = boostDiagonal(A);
   Spec.Flops = [](const std::vector<int64_t> &Pv) {
     double N = static_cast<double>(Pv[0]);
     double B = static_cast<double>(Pv[1]);

@@ -22,6 +22,7 @@
 #define SHACKLE_PROGRAMS_BENCHMARKS_H
 
 #include "core/DataShackle.h"
+#include "interp/Interpreter.h"
 #include "ir/Program.h"
 
 #include <functional>
@@ -39,6 +40,10 @@ struct BenchSpec {
   /// Useful floating-point operation count as a function of the parameter
   /// values (for MFlops reporting, matching the paper's graphs).
   std::function<double(const std::vector<int64_t> &)> Flops;
+  /// Makes a random input well-posed for the program, applied after
+  /// fillRandom; empty when any input is. The factorizations set it (their
+  /// input must be symmetric positive definite).
+  std::function<void(ProgramInstance &)> Condition;
 };
 
 /// Matrix multiplication C += A * B in I-J-K order (paper Figure 1(i)).

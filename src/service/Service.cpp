@@ -8,10 +8,7 @@
 #include "service/Service.h"
 
 #include "core/ShackleDriver.h"
-#include "frontend/Parser.h"
-#include "interp/Interpreter.h"
-#include "programs/Registry.h"
-#include "support/Checksum.h"
+#include "service/Engine.h"
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +26,10 @@ JsonValue errorReply(const std::string &Code, const std::string &Message) {
   return R;
 }
 
+JsonValue count(uint64_t V) {
+  return JsonValue::integer(static_cast<int64_t>(V));
+}
+
 std::string hex64(uint64_t V) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
@@ -36,32 +37,17 @@ std::string hex64(uint64_t V) {
   return Buf;
 }
 
-/// Bit-pattern checksum of every array buffer, in array order. This is the
-/// service's determinism witness: equal checksums across clients mean
-/// bitwise-identical results (same strength as ProgramInstance::
-/// bitwiseEqual).
-uint64_t resultChecksum(const ProgramInstance &Inst) {
-  Checksum C;
-  const Program &P = Inst.program();
-  for (unsigned A = 0; A < P.getNumArrays(); ++A) {
-    const std::vector<double> &Buf = Inst.buffer(A);
-    C.u64(A).u64(Buf.size());
-    for (double V : Buf)
-      C.f64(V);
+/// The reply for a request the pipeline rejected.
+JsonValue diagReply(const Diagnostic &D) {
+  switch (D.Code) {
+  case DiagCode::ParseError:
+    return errorReply("parse-error", D.str());
+  case DiagCode::UsageError:
+  case DiagCode::ShackleMismatch:
+    return errorReply("usage-error", D.str());
+  default:
+    return errorReply("compile-failed", D.Message);
   }
-  return C.value();
-}
-
-const char *verdictName(LegalityVerdict V) {
-  switch (V) {
-  case LegalityVerdict::Legal:
-    return "legal";
-  case LegalityVerdict::Illegal:
-    return "illegal";
-  case LegalityVerdict::Unknown:
-    return "unknown";
-  }
-  return "unknown";
 }
 
 } // namespace
@@ -73,209 +59,84 @@ ServiceCore::ServiceCore(ServiceOptions O)
   LatMs.reserve(LatCap);
 }
 
-bool ServiceCore::resolve(const JsonValue &Req, ResolvedRequest &R,
-                          JsonValue &ErrReply) {
-  // Parameter values (shared by both program forms).
-  if (!Req.get("params").isArray()) {
-    ErrReply = errorReply("usage-error", "'params' must be an array");
-    return false;
-  }
-  for (const JsonValue &V : Req.get("params").asArray())
-    R.Params.push_back(V.asInt());
+JsonValue ServiceCore::handleCompileOrRun(const JsonValue &Req, bool Execute) {
+  const JsonValue &ParamsField = Req.get("params");
+  if (!ParamsField.isArray())
+    return errorReply("usage-error", "'params' must be an array");
 
-  // Block sizes: a single integer or a per-rank array.
-  std::vector<int64_t> Blocks;
+  // A DSL program is shackled through its stores into 'array' (the
+  // `shackle file` pipeline); otherwise 'benchmark'/'config' name a
+  // registry entry. 'block' is one integer or one per rank.
+  ProgramSource Src;
+  if (std::string Dsl = Req.getString("dsl"); !Dsl.empty())
+    Src.Dsl = std::move(Dsl);
+  Src.Array = Req.getString("array");
+  Src.Benchmark = Req.getString("benchmark");
+  Src.Config = Req.getString("config");
   const JsonValue &BlockField = Req.get("block");
   if (BlockField.isArray()) {
     for (const JsonValue &V : BlockField.asArray())
-      Blocks.push_back(V.asInt());
+      Src.Blocks.push_back(V.asInt());
   } else if (BlockField.isNumber()) {
-    Blocks.push_back(BlockField.asInt());
+    Src.Blocks.push_back(BlockField.asInt());
   }
+  Src.ColBlocks = Req.getString("order") == "colblocks";
+  Src.Reversed = Req.getBool("reversed", false);
+  Expected<Resolved> Target = resolveProgram(Src);
+  if (!Target)
+    return diagReply(Target.diagnostic());
 
-  std::string Dsl = Req.getString("dsl");
-  if (!Dsl.empty()) {
-    // DSL form: parse, then shackle every statement through its store into
-    // the named array (the `shackle file` pipeline).
-    ParseResult PR = parseProgram(Dsl);
-    if (!PR) {
-      ErrReply = errorReply("parse-error", PR.Diag.str());
-      return false;
-    }
-    std::shared_ptr<const Program> Prog = std::move(PR.Prog);
-    std::string ArrayName = Req.getString("array");
-    int ArrayId = -1;
-    for (unsigned A = 0; A < Prog->getNumArrays(); ++A)
-      if (Prog->getArray(A).Name == ArrayName)
-        ArrayId = static_cast<int>(A);
-    if (ArrayId < 0) {
-      ErrReply = errorReply("usage-error",
-                            "'array' must name an array declared in 'dsl'");
-      return false;
-    }
-    unsigned Rank =
-        static_cast<unsigned>(Prog->getArray(ArrayId).Extents.size());
-    if (Blocks.empty())
-      Blocks.assign(Rank, 64);
-    while (Blocks.size() < Rank)
-      Blocks.push_back(Blocks.back());
-    std::vector<unsigned> Order(Rank);
-    for (unsigned D = 0; D < Rank; ++D)
-      Order[D] = D;
-    if (Req.getString("order") == "colblocks" && Rank == 2)
-      Order = {1, 0};
-    DataBlocking Blocking = DataBlocking::rectangular(ArrayId, Blocks, Order);
-    if (Req.getBool("reversed", false))
-      Blocking.Planes[0].Reversed = true;
-    Expected<DataShackle> Shackle =
-        DataShackle::tryOnStores(*Prog, std::move(Blocking));
-    if (!Shackle.ok()) {
-      ErrReply = errorReply("usage-error", Shackle.diagnostic().str());
-      return false;
-    }
-    R.Chain.Factors.push_back(std::move(Shackle.get()));
-    R.Prog = std::move(Prog);
-  } else {
-    std::string Bench = Req.getString("benchmark");
-    auto It = benchRegistry().find(Bench);
-    if (It == benchRegistry().end()) {
-      ErrReply = errorReply("usage-error",
-                            "unknown benchmark '" + Bench +
-                                "' (and no 'dsl' given); see 'shackle list'");
-      return false;
-    }
-    std::string Config = Req.getString("config");
-    auto CIt = It->second.Configs.find(Config);
-    if (CIt == It->second.Configs.end()) {
-      ErrReply = errorReply("usage-error", "unknown config '" + Config +
-                                               "' for benchmark '" + Bench +
-                                               "'");
-      return false;
-    }
-    BenchSpec Spec = It->second.Make();
-    std::shared_ptr<const Program> Prog = std::move(Spec.Prog);
-    int64_t Block = Blocks.empty() ? It->second.DefaultBlock : Blocks[0];
-    R.Chain = CIt->second(*Prog, Block);
-    R.Prog = std::move(Prog);
-  }
-
-  if (R.Params.size() != R.Prog->getNumParams()) {
-    ErrReply = errorReply(
-        "usage-error", "'params' must supply " +
-                           std::to_string(R.Prog->getNumParams()) +
-                           " value(s), got " + std::to_string(R.Params.size()));
-    return false;
-  }
-
+  RunRequest RR;
+  RR.Target = std::move(Target.get());
+  for (const JsonValue &V : ParamsField.asArray())
+    RR.Params.push_back(V.asInt());
   const JsonValue &Level = Req.get("task_level");
   if (Level.isString() && Level.asString() == "auto")
-    R.TaskLevel = PlanKeyAutoTaskLevel;
+    RR.TaskLevel = PlanKeyAutoTaskLevel;
   else if (Level.isNumber() && Level.asInt() >= 0)
-    R.TaskLevel = static_cast<unsigned>(Level.asInt());
-  else if (!Level.isNull()) {
-    ErrReply = errorReply("usage-error",
-                          "'task_level' must be a factor count or \"auto\"");
-    return false;
-  }
-
-  R.Threads = static_cast<unsigned>(std::max<int64_t>(
+    RR.TaskLevel = static_cast<unsigned>(Level.asInt());
+  else if (!Level.isNull())
+    return errorReply("usage-error",
+                      "'task_level' must be a factor count or \"auto\"");
+  RR.Run.NumThreads = static_cast<unsigned>(std::max<int64_t>(
       1, Req.getInt("threads", Opts.DefaultThreads)));
-  return true;
-}
+  RR.Budget = Opts.Budget;
+  RR.Execute = Execute;
 
-JsonValue ServiceCore::handleCompileOrRun(const JsonValue &Req, bool Execute) {
-  ResolvedRequest R;
-  JsonValue Err;
-  if (!resolve(Req, R, Err))
-    return Err;
-
-  PlanKey Key = makePlanKey(*R.Prog, R.Chain, R.Params, R.TaskLevel,
-                            Opts.Shape);
-
-  // These are only written if this thread owns the build (single-flight
-  // runs the closure on the missing caller's thread, synchronously).
-  LegalityCheckStats LegStats;
-  VerdictReuse Reuse;
-  bool WeBuilt = false;
-
-  PlanCache::Outcome Out = Cache.getOrBuild(Key, R.Prog, [&]() {
-    WeBuilt = true;
-    Reuse = Verdicts.lookup(*R.Prog, R.Chain);
-    ParallelPlanOptions POpts;
-    POpts.Budget = Opts.Budget;
-    POpts.ThreadsHint = R.Threads;
-    if (R.TaskLevel == PlanKeyAutoTaskLevel)
-      POpts.AutoTaskLevel = true;
-    else
-      POpts.TaskLevel = R.TaskLevel;
-    POpts.LegalitySkipBlockDims = Reuse.SkipBlockDims;
-    POpts.LegalityKnownIllegal = Reuse.KnownIllegal;
-    POpts.LegalityStats = &LegStats;
-    ParallelPlan Plan = ParallelPlan::build(*R.Prog, R.Chain, R.Params, POpts);
-    if (Reuse.KnownIllegal) {
-      // The whole check was skipped; credit one avoided query (a fresh
-      // check would have run at least one before finding the violation).
-      Verdicts.creditSaved(1);
-    } else {
-      Verdicts.record(*R.Prog, R.Chain, Plan.legality().Verdict);
-      Verdicts.creditSaved(LegStats.QueriesSkipped);
-    }
-    return Plan;
-  });
-
-  if (!Out.Plan)
-    return errorReply("compile-failed", Out.Error.empty()
-                                            ? "plan build failed"
-                                            : Out.Error);
-
-  const ParallelPlan &Plan = Out.Plan->Plan;
+  RunResult R = Engine(Opts.Shape, &Cache, &Verdicts).run(RR);
+  if (R.Error)
+    return diagReply(*R.Error);
+  const ParallelPlan &Plan = *R.Plan;
   JsonValue Reply = JsonValue::object();
   Reply.set("ok", JsonValue::boolean(true));
   Reply.set("op", JsonValue::string(Execute ? "run" : "compile"));
-  Reply.set("key", JsonValue::string(hex64(Key.digest())));
-  Reply.set("hit", JsonValue::boolean(Out.Hit));
-  Reply.set("coalesced", JsonValue::boolean(Out.Coalesced));
-  Reply.set("from_snapshot", JsonValue::boolean(Out.FromSnapshot));
+  Reply.set("key", JsonValue::string(hex64(R.Key.digest())));
+  Reply.set("hit", JsonValue::boolean(R.Hit));
+  Reply.set("coalesced", JsonValue::boolean(R.Coalesced));
+  Reply.set("from_snapshot", JsonValue::boolean(R.FromSnapshot));
   Reply.set("tier", JsonValue::string(codegenTierName(Plan.tier())));
   Reply.set("legality",
-            JsonValue::string(verdictName(Plan.legality().Verdict)));
+            JsonValue::string(legalityVerdictName(Plan.legality().Verdict)));
   Reply.set("parallel_ready", JsonValue::boolean(Plan.parallelReady()));
-  Reply.set("tasks",
-            JsonValue::integer(static_cast<int64_t>(
-                Plan.partition().OK ? Plan.partition().Tasks.size() : 0)));
-  if (WeBuilt) {
-    Reply.set("solver_queries_run",
-              JsonValue::integer(static_cast<int64_t>(LegStats.QueriesRun)));
-    Reply.set("solver_queries_skipped",
-              JsonValue::integer(
-                  static_cast<int64_t>(LegStats.QueriesSkipped +
-                                       (Reuse.KnownIllegal ? 1 : 0))));
+  Reply.set("tasks", count(Plan.partition().OK
+                                ? Plan.partition().Tasks.size()
+                                : 0));
+  if (R.Built) {
+    Reply.set("solver_queries_run", count(R.QueriesRun));
+    Reply.set("solver_queries_skipped", count(R.QueriesSkipped));
   }
-
   if (!Execute)
     return Reply;
 
-  ProgramInstance Inst(*R.Prog, R.Params);
-  Inst.fillRandom(1, 0.5, 1.5);
-  ParallelRunOptions RunOpts;
-  RunOpts.NumThreads = R.Threads;
-  auto Start = std::chrono::steady_clock::now();
-  ParallelRunStats Stats = Plan.run(Inst, RunOpts);
-  auto End = std::chrono::steady_clock::now();
-  if (Stats.Failed)
+  if (R.Stats.Failed)
     return errorReply("run-failed",
                       "a block failed every recovery attempt; results "
                       "withheld");
-  Reply.set("mode", JsonValue::string(parallelModeName(Stats.Mode)));
-  Reply.set("blocks_run",
-            JsonValue::integer(static_cast<int64_t>(Stats.BlocksRun)));
-  Reply.set("threads_used",
-            JsonValue::integer(static_cast<int64_t>(Stats.ThreadsUsed)));
-  Reply.set("run_ms",
-            JsonValue::number(
-                std::chrono::duration<double, std::milli>(End - Start)
-                    .count()));
-  Reply.set("checksum", JsonValue::string(hex64(resultChecksum(Inst))));
+  Reply.set("mode", JsonValue::string(parallelModeName(R.Stats.Mode)));
+  Reply.set("blocks_run", count(R.Stats.BlocksRun));
+  Reply.set("threads_used", count(R.Stats.ThreadsUsed));
+  Reply.set("run_ms", JsonValue::number(R.RunMs));
+  Reply.set("checksum", JsonValue::string(hex64(R.Checksum)));
   return Reply;
 }
 
@@ -284,26 +145,17 @@ JsonValue ServiceCore::handleStats() {
   JsonValue Reply = JsonValue::object();
   Reply.set("ok", JsonValue::boolean(true));
   Reply.set("op", JsonValue::string("stats"));
-  Reply.set("hits", JsonValue::integer(static_cast<int64_t>(S.Cache.Hits)));
-  Reply.set("misses",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.Misses)));
-  Reply.set("coalesced",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.Coalesced)));
-  Reply.set("evictions",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.Evictions)));
-  Reply.set("entries",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.Entries)));
-  Reply.set("bytes",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.BytesInUse)));
-  Reply.set("pending_blobs",
-            JsonValue::integer(static_cast<int64_t>(S.Cache.PendingBlobs)));
-  Reply.set("verdict_entries",
-            JsonValue::integer(static_cast<int64_t>(S.VerdictEntries)));
-  Reply.set("solver_calls_saved",
-            JsonValue::integer(static_cast<int64_t>(S.SolverCallsSaved)));
-  Reply.set("requests",
-            JsonValue::integer(static_cast<int64_t>(S.Requests)));
-  Reply.set("errors", JsonValue::integer(static_cast<int64_t>(S.Errors)));
+  Reply.set("hits", count(S.Cache.Hits));
+  Reply.set("misses", count(S.Cache.Misses));
+  Reply.set("coalesced", count(S.Cache.Coalesced));
+  Reply.set("evictions", count(S.Cache.Evictions));
+  Reply.set("entries", count(S.Cache.Entries));
+  Reply.set("bytes", count(S.Cache.BytesInUse));
+  Reply.set("pending_blobs", count(S.Cache.PendingBlobs));
+  Reply.set("verdict_entries", count(S.VerdictEntries));
+  Reply.set("solver_calls_saved", count(S.SolverCallsSaved));
+  Reply.set("requests", count(S.Requests));
+  Reply.set("errors", count(S.Errors));
   Reply.set("p50_ms", JsonValue::number(S.P50Ms));
   Reply.set("p95_ms", JsonValue::number(S.P95Ms));
   Reply.set("machine", JsonValue::string(Opts.Shape.str()));

@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transport-independent heart of `shackle serve`: parse one JSON
-/// request, resolve it to (program, chain, params), serve the plan through
-/// the single-flight PlanCache (with factor-verdict reuse on cold
-/// compiles), optionally execute it, and build the JSON reply. The Unix-
-/// socket server (Server.h) and the in-process tests both drive this class;
-/// it is safe to call handleLine concurrently from many threads.
+/// The transport-independent heart of `shackle serve`: translate one JSON
+/// request into a ProgramSource and RunRequest, hand them to the shared
+/// pipeline (resolveProgram and Engine::run, Engine.h) over this service's
+/// PlanCache and VerdictCache, and translate the RunResult into the JSON
+/// reply. The Unix-socket server (Server.h) and the in-process tests both
+/// drive this class; it is safe to call handleLine concurrently from many
+/// threads.
 ///
 /// Protocol (newline-delimited JSON; full schema in docs/SERVE.md):
 ///
@@ -101,19 +102,6 @@ public:
   const ServiceOptions &options() const { return Opts; }
 
 private:
-  /// A request resolved to compilable form. Prog owns the program (plans
-  /// point into it, so cache entries keep it alive).
-  struct ResolvedRequest {
-    std::shared_ptr<const Program> Prog;
-    ShackleChain Chain;
-    std::vector<int64_t> Params;
-    unsigned TaskLevel = 0; ///< PlanKeyAutoTaskLevel for "auto".
-    unsigned Threads = 1;
-  };
-
-  /// Fills \p R from \p Req; on failure returns false with \p ErrReply set.
-  bool resolve(const JsonValue &Req, ResolvedRequest &R, JsonValue &ErrReply);
-
   JsonValue handleCompileOrRun(const JsonValue &Req, bool Execute);
   JsonValue handleStats();
 
