@@ -935,8 +935,9 @@ std::string shackle::emitNativeTaskWritesKernel(
   W.indent();
   // Same flattened-dims protocol as the task kernel, and no array
   // pointers: the enumerator computes addresses, never touches data.
-  // Emission order is the segment order, so the log is byte-identical to
-  // the interpreter walk.
+  // Emission order is the segment order; sorted and deduplicated, the
+  // reported set encodes to the same footprint runs as the interpreter
+  // walk's.
   W.line("(void)dims; (void)sink; (void)ctx;");
   // Emission counter backing the reduction-loop collapse: such a loop
   // breaks after its first iteration that moves this count.

@@ -26,7 +26,9 @@
 /// The walk is purely structural: it never executes statements and never
 /// touches array storage, so the resulting partition is immutable shared
 /// input for any number of concurrent workers (each worker re-executes a
-/// segment through its own interpreter state).
+/// segment through its own interpreter state). The one thing a task learns
+/// later is its write footprint, which undo capture memoizes in the task
+/// (FootprintMemo) so that it is enumerated once per plan, not once per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +38,78 @@
 #include "codegen/LoopAST.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace shackle {
+
+/// One stretch of consecutive elements in a task's write footprint: Length
+/// elements of array ArrayId, from linear offset Offset on.
+struct FootprintRun {
+  unsigned ArrayId = 0;
+  int64_t Offset = 0;
+  int64_t Length = 0;
+  bool operator==(const FootprintRun &) const = default;
+};
+
+/// A write footprint as runs sorted by (array, offset), disjoint and never
+/// adjacent: the run-length encoding of the sorted, deduplicated store set.
+using FootprintRuns = std::vector<FootprintRun>;
+
+/// Plan-lifetime memo of one task's write footprint. The footprint is a
+/// pure function of the nest and the task's segments (parameter values
+/// included), so undo capture (parallel/UndoLog.h) computes it at the
+/// task's first capture and every later run of the plan reuses it. One slot
+/// per enumerator that can produce it, so a capture that must run no
+/// native code never consumes a footprint a compiled enumerator produced.
+///
+/// Concurrent runs of one shared plan fill each slot exactly once (under a
+/// mutex) and read it lock-free afterwards. A copy starts empty.
+class FootprintMemo {
+public:
+  enum Source : unsigned { Native, Interpreter };
+
+  FootprintMemo() = default;
+  FootprintMemo(const FootprintMemo &) noexcept {}
+  FootprintMemo &operator=(const FootprintMemo &) noexcept {
+    for (Slot &S : Slots) {
+      S.Runs.reset();
+      S.Fills.store(0, std::memory_order_relaxed);
+    }
+    return *this;
+  }
+
+  /// The footprint from \p S; the first call computes it with \p Fill.
+  template <typename FillFn>
+  std::shared_ptr<const FootprintRuns> get(Source S, FillFn &&Fill) const {
+    Slot &Sl = Slots[S];
+    if (Sl.Fills.load(std::memory_order_acquire) == 0) {
+      std::lock_guard<std::mutex> Lock(FillM);
+      if (Sl.Fills.load(std::memory_order_relaxed) == 0) {
+        Sl.Runs = std::make_shared<const FootprintRuns>(Fill());
+        Sl.Fills.fetch_add(1, std::memory_order_release);
+      }
+    }
+    return Sl.Runs;
+  }
+
+  /// Times slot \p S was filled: 0 before the first capture, then 1.
+  unsigned fills(Source S) const {
+    return Slots[S].Fills.load(std::memory_order_acquire);
+  }
+
+private:
+  struct Slot {
+    std::shared_ptr<const FootprintRuns> Runs;
+    std::atomic<unsigned> Fills{0};
+  };
+  mutable Slot Slots[2];
+  mutable std::mutex FillM;
+};
 
 /// One schedulable unit: all instances the shackle ties to one block.
 struct BlockTask {
@@ -57,6 +126,9 @@ struct BlockTask {
     std::vector<int64_t> DimValues;
   };
   std::vector<Segment> Segments;
+
+  /// The task's write footprint, filled at its first undo capture.
+  FootprintMemo Footprint;
 };
 
 struct BlockPartition {

@@ -10,6 +10,7 @@
 #include "support/Checksum.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace shackle;
@@ -26,35 +27,60 @@ const char *shackle::dataVerifyName(DataVerify V) {
   return "off";
 }
 
-uint64_t shackle::checksumUndoLog(const BlockUndoLog &Log) {
+namespace {
+
+/// Hashes each run's (array, offset, length) header, then the bit patterns
+/// of the run's values; \p ValuesOf(R) points at the first of them.
+template <typename ValuesFn>
+uint64_t checksumRuns(const FootprintRuns &Runs, ValuesFn &&ValuesOf) {
   Checksum C;
-  for (const BlockUndoLog::Entry &E : Log.Entries)
-    C.u64(E.ArrayId).u64(static_cast<uint64_t>(E.Offset)).f64(E.Value);
+  for (const FootprintRun &R : Runs) {
+    C.u64(R.ArrayId)
+        .u64(static_cast<uint64_t>(R.Offset))
+        .u64(static_cast<uint64_t>(R.Length));
+    const double *V = ValuesOf(R);
+    for (int64_t I = 0; I < R.Length; ++I)
+      C.f64(V[I]);
+  }
   return C.value();
+}
+
+const double *live(const ProgramInstance &Inst, const FootprintRun &R) {
+  return Inst.buffer(R.ArrayId).data() + R.Offset;
+}
+
+} // namespace
+
+uint64_t shackle::checksumUndoLog(const BlockUndoLog &Log) {
+  const double *Next = Log.Entries.data();
+  return checksumRuns(Log.runs(), [&](const FootprintRun &R) {
+    assert(Next + R.Length <= Log.Entries.data() + Log.Entries.size() &&
+           "undo log shorter than its footprint");
+    const double *V = Next;
+    Next += R.Length;
+    return V;
+  });
 }
 
 uint64_t shackle::checksumFootprint(const BlockUndoLog &Log,
                                     const ProgramInstance &Inst) {
-  Checksum C;
-  for (const BlockUndoLog::Entry &E : Log.Entries)
-    C.u64(E.ArrayId)
-        .u64(static_cast<uint64_t>(E.Offset))
-        .f64(Inst.buffer(E.ArrayId)[static_cast<std::size_t>(E.Offset)]);
-  return C.value();
+  return checksumRuns(Log.runs(),
+                      [&](const FootprintRun &R) { return live(Inst, R); });
 }
 
 PoisonFinding shackle::scanFootprintPoison(const BlockUndoLog &Log,
                                            const ProgramInstance &Inst) {
   PoisonFinding F;
-  for (const BlockUndoLog::Entry &E : Log.Entries) {
-    double V = Inst.buffer(E.ArrayId)[static_cast<std::size_t>(E.Offset)];
-    if (!std::isfinite(V)) {
-      F.Found = true;
-      F.ArrayId = E.ArrayId;
-      F.Offset = E.Offset;
-      F.Value = V;
-      return F;
-    }
+  for (const FootprintRun &R : Log.runs()) {
+    const double *V = live(Inst, R);
+    for (int64_t I = 0; I < R.Length; ++I)
+      if (!std::isfinite(V[I])) {
+        F.Found = true;
+        F.ArrayId = R.ArrayId;
+        F.Offset = R.Offset + I;
+        F.Value = V[I];
+        return F;
+      }
   }
   return F;
 }

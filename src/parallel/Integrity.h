@@ -16,8 +16,10 @@
 ///
 /// Everything here leans on the paper's central property: a block
 /// (Definition 1) has a bounded, statically enumerable write footprint.
-/// That footprint is already captured per task as a BlockUndoLog, which
-/// makes it cheap to
+/// Each task keeps that footprint for the lifetime of its plan as sorted
+/// row runs (parallel/UndoLog.h), and every pass below is a loop over those
+/// runs — over a BlockUndoLog's pre-image buffer or over the live arrays.
+/// That makes it cheap to
 ///
 ///   - checksum an undo log at capture and re-verify it before a restore,
 ///     refusing an unsound restore (checksumUndoLog);
@@ -79,13 +81,14 @@ struct IntegrityStats {
   uint64_t PristineReplays = 0;
 };
 
-/// Order-sensitive digest of an undo log: (array, offset, pre-image bit
-/// pattern) per entry, in the log's sorted footprint order.
+/// Order-sensitive digest of an undo log: each run's (array, offset,
+/// length) header followed by the bit patterns of its pre-images, in the
+/// log's sorted footprint order.
 uint64_t checksumUndoLog(const BlockUndoLog &Log);
 
-/// Digest of the *current* instance values at the log's footprint
-/// addresses — the committed result of the block whose capture produced
-/// \p Log. Two executions of a block from the same pre-state are
+/// Digest of the *current* instance values along the log's runs (headers
+/// hashed the same way) — the committed result of the block whose capture
+/// produced \p Log. Two executions of a block from the same pre-state are
 /// deterministic, so unequal digests prove silent corruption of one.
 uint64_t checksumFootprint(const BlockUndoLog &Log,
                            const ProgramInstance &Inst);

@@ -453,11 +453,13 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     BlockUndoLog Undo;
     uint64_t UndoSum = 0;
     if (Opts.UndoLog) {
-      // Footprint capture rides the native tier too: the task's compiled
-      // write enumerator replaces the interpreter write-sink walk (the set
-      // is identical — tested by the native differential battery). With
-      // AllowNative off (oracle reruns, degraded replay) no native code of
-      // any kind runs in the attempt, capture included.
+      // The footprint is the task's plan-lifetime memo, filled at its
+      // first capture by the compiled write enumerator when the native
+      // tier is on (the set is identical to the interpreter walk's —
+      // tested by the native differential battery). With AllowNative off
+      // (oracle reruns, degraded replay) no native code of any kind runs in
+      // the attempt, capture included, and only an interpreter-derived
+      // footprint is used.
       Undo = captureBlockUndo(CG.Nest, Tasks[T], T, Inst,
                               AllowNative ? Native : nullptr);
       if (Verify != DataVerify::Off)
@@ -478,8 +480,8 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     auto restoreVerified = [&]() {
       uint64_t Pick;
       if (!Undo.Entries.empty() && injectUndoCorrupt(T, Pick)) {
-        BlockUndoLog::Entry &E = Undo.Entries[Pick % Undo.Entries.size()];
-        E.Value = flipDoubleBit(E.Value, static_cast<unsigned>(Pick >> 32));
+        double &V = Undo.Entries[Pick % Undo.Entries.size()];
+        V = flipDoubleBit(V, static_cast<unsigned>(Pick >> 32));
       }
       if (Verify != DataVerify::Off) {
         if (checksumUndoLog(Undo) != UndoSum) {
@@ -589,20 +591,17 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
       if (!Undo.Entries.empty()) {
         unsigned Bit;
         uint64_t Pick;
+        auto slot = [&](uint64_t Pick) -> double & {
+          auto [ArrayId, Offset] = Undo.element(Pick % Undo.Entries.size());
+          return Inst.buffer(ArrayId)[static_cast<std::size_t>(Offset)];
+        };
         if (injectBitFlip(T, Bit, Pick)) {
-          const BlockUndoLog::Entry &E =
-              Undo.Entries[Pick % Undo.Entries.size()];
-          double &Slot =
-              Inst.buffer(E.ArrayId)[static_cast<std::size_t>(E.Offset)];
+          double &Slot = slot(Pick);
           Slot = flipDoubleBit(Slot, Bit);
         }
-        if (int PK = injectPoisonValue(T, Pick)) {
-          const BlockUndoLog::Entry &E =
-              Undo.Entries[Pick % Undo.Entries.size()];
-          Inst.buffer(E.ArrayId)[static_cast<std::size_t>(E.Offset)] =
-              PK == 1 ? std::numeric_limits<double>::quiet_NaN()
-                      : std::numeric_limits<double>::infinity();
-        }
+        if (int PK = injectPoisonValue(T, Pick))
+          slot(Pick) = PK == 1 ? std::numeric_limits<double>::quiet_NaN()
+                               : std::numeric_limits<double>::infinity();
       }
 
       // Poison guard. A non-finite store caught by the interpreter is a

@@ -18,14 +18,25 @@
 /// A[I][J] = A[I][J] / A[J][J]), so re-running over half-written data
 /// would compute garbage.
 ///
-/// The footprint comes from collectSubtreeWrites — the same structural walk
-/// the interpreter executes, minus the arithmetic — so capture cost is
-/// proportional to the block's instance count, not the array size. Under
-/// the native tier the walk is replaced entirely: each compiled task kernel
-/// ships a <name>_writes companion, looked up by task id, that enumerates
-/// the identical store set at native speed with address-invariant
-/// (reduction) loops collapsed, so capture cost drops to the footprint size
-/// itself.
+/// A block is a fixed piece of data, so its footprint is too: it depends
+/// on the nest and the task's segments only, never on array contents. The
+/// footprint is therefore enumerated once per plan, at the task's first
+/// capture, and kept in the task (BlockTask::Footprint) as row runs
+/// (array, offset, length) for as long as the plan lives. It comes from one
+/// of two enumerators, sorted, deduplicated and run-length encoded, so the
+/// runs are exact by construction:
+///
+///   - the task kernel's compiled <name>_writes companion (native tier),
+///     which reports the kernel's store set at native speed with
+///     address-invariant (reduction) loops collapsed;
+///   - otherwise collectSubtreeWrites, the interpreter's structural walk
+///     minus the arithmetic.
+///
+/// Each slot of the memo records which enumerator filled it, so a capture
+/// that must run no native code (oracle reruns, degraded replay) fills and
+/// reads its own interpreter-derived footprint. With the runs known, a
+/// capture is one memcpy per run into a single pre-image buffer, and a
+/// restore is the same copy back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +47,8 @@
 #include "parallel/BlockPartition.h"
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace shackle {
@@ -44,27 +57,31 @@ class NativeDispatch;
 
 /// Saved pre-image of one block task's write footprint.
 struct BlockUndoLog {
-  struct Entry {
-    unsigned ArrayId;
-    int64_t Offset;
-    double Value;
-  };
-  /// Deduplicated, sorted by (array, offset).
-  std::vector<Entry> Entries;
+  /// The footprint the pre-images were taken from (null: empty). A plan's
+  /// capture shares the task's memoized runs.
+  std::shared_ptr<const FootprintRuns> Runs;
+  /// Pre-images run after run: Entries[I] is the value that the I-th
+  /// footprint element, in (array, offset) order, had at capture.
+  std::vector<double> Entries;
+
+  const FootprintRuns &runs() const;
+  /// (array, offset) of the I-th footprint element; I < Entries.size().
+  std::pair<unsigned, int64_t> element(std::size_t I) const;
 };
 
 /// Snapshots the elements \p Task will write on \p Inst (all segments, in
 /// order, duplicates collapsed to the first pre-image — which is the only
-/// correct one to restore).
+/// correct one to restore). Always a fresh interpreter walk that bypasses
+/// the memo: the oracle the native enumerators are tested against.
 BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
                               const ProgramInstance &Inst);
 
-/// Like captureBlockUndo, but when \p Native provides the compiled write
-/// enumerator of task \p TaskId, the whole footprint is enumerated in one
-/// call over the task's flattened per-segment DimValues (reduction loops
-/// collapsed) instead of walking the subtrees through the interpreter's
-/// write sink. Null \p Native, or a task without an enumerator, falls back
-/// to the interpreter walk; both paths produce byte-identical logs.
+/// Snapshots task \p TaskId's footprint from the task's memo, filling the
+/// memo at the first call. When \p Native provides the task's compiled
+/// write enumerator, that enumerator fills the Native slot in one call over
+/// the task's flattened per-segment DimValues; null \p Native, or a task
+/// without an enumerator, fills and reads the Interpreter slot through the
+/// interpreter walk instead. Both produce identical runs.
 BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
                               uint32_t TaskId, const ProgramInstance &Inst,
                               const NativeDispatch *Native);

@@ -51,6 +51,39 @@ void sendErrorLine(int Fd, JsonValue Reply) {
   sendAll(Fd, Line.data(), Line.size());
 }
 
+/// Closes a connection whose client may still be sending: half-close so
+/// the client reads the reply and then end-of-stream, discard what it still
+/// sends until it closes or a time and byte bound runs out, then close.
+/// Closing with unread input would reset the connection, and the client's
+/// final recv could fail with ECONNRESET instead of returning 0. The bounds
+/// keep a client that never stops sending from holding the thread.
+void lingeringClose(int Fd) {
+  constexpr auto MaxLinger = std::chrono::seconds(2);
+  constexpr size_t MaxDiscard = size_t(64) << 20;
+  ::shutdown(Fd, SHUT_WR);
+  const auto Deadline = std::chrono::steady_clock::now() + MaxLinger;
+  std::vector<char> Sink(64 << 10);
+  size_t Discarded = 0;
+  while (Discarded < MaxDiscard) {
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    Deadline - std::chrono::steady_clock::now())
+                    .count();
+    if (Left <= 0)
+      break;
+    pollfd P{Fd, POLLIN, 0};
+    int R = ::poll(&P, 1, static_cast<int>(Left));
+    if (R < 0 && errno != EINTR)
+      break;
+    if (R <= 0)
+      continue;
+    ssize_t N = ::recv(Fd, Sink.data(), Sink.size(), 0);
+    if (N <= 0)
+      break; // The client closed (or the connection failed).
+    Discarded += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+}
+
 bool fillSockaddr(const std::string &Path, sockaddr_un &Addr) {
   if (Path.empty() || Path.size() >= sizeof(Addr.sun_path))
     return false;
@@ -184,6 +217,7 @@ uint64_t ServiceServer::serve() {
     char Chunk[4096];
     auto LastActivity = std::chrono::steady_clock::now();
     bool Close = false;
+    bool TooLong = false;
     while (!Close && !Draining()) {
       pollfd P{Fd, POLLIN, 0};
       int R = ::poll(&P, 1, 100);
@@ -221,7 +255,7 @@ uint64_t ServiceServer::serve() {
                       static_cast<int64_t>(Opts.MaxLineBytes)));
             return R;
           }());
-          Close = true;
+          Close = TooLong = true;
           break;
         }
         if (injectConnKill(ConnIdx)) {
@@ -255,10 +289,14 @@ uint64_t ServiceServer::serve() {
                 JsonValue::integer(static_cast<int64_t>(Opts.MaxLineBytes)));
           return R;
         }());
+        TooLong = true;
         break;
       }
     }
-    ::close(Fd);
+    if (TooLong)
+      lingeringClose(Fd);
+    else
+      ::close(Fd);
     State->LiveConns.fetch_sub(1);
     Done->store(true, std::memory_order_release);
   };

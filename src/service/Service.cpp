@@ -98,6 +98,19 @@ JsonValue ServiceCore::handleCompileOrRun(const JsonValue &Req, bool Execute) {
   else if (!Level.isNull())
     return errorReply("usage-error",
                       "'task_level' must be a factor count or \"auto\"");
+  // "native":"task" is `run --native=task` with its default options, and
+  // like the CLI flag it defaults task_level to "auto".
+  const JsonValue &NativeField = Req.get("native");
+  if (!NativeField.isNull()) {
+    if (NativeField.isString() && NativeField.asString() == "task")
+      RR.Native = NativeJitOptions();
+    else if (!NativeField.isString() || NativeField.asString() != "off")
+      return errorReply("usage-error",
+                        "'native' must be \"task\" or \"off\"");
+  }
+  if (RR.Native && Level.isNull())
+    RR.TaskLevel = PlanKeyAutoTaskLevel;
+  RR.Verify = Req.getBool("verify", false);
   RR.Run.NumThreads = static_cast<unsigned>(std::max<int64_t>(
       1, Req.getInt("threads", Opts.DefaultThreads)));
   RR.Budget = Opts.Budget;
@@ -137,6 +150,24 @@ JsonValue ServiceCore::handleCompileOrRun(const JsonValue &Req, bool Execute) {
   Reply.set("threads_used", count(R.Stats.ThreadsUsed));
   Reply.set("run_ms", JsonValue::number(R.RunMs));
   Reply.set("checksum", JsonValue::string(hex64(R.Checksum)));
+  switch (R.Verify) {
+  case VerifyOutcome::NotRun:
+    break;
+  case VerifyOutcome::Bitwise:
+    Reply.set("verify", JsonValue::string("bitwise"));
+    break;
+  case VerifyOutcome::WithinBound:
+    Reply.set("verify", JsonValue::string("within-bound"));
+    Reply.set("max_diff", JsonValue::number(R.MaxDiff));
+    break;
+  case VerifyOutcome::Differs: {
+    JsonValue E = errorReply("verify-failed",
+                             "parallel result differs from serial shackled "
+                             "execution");
+    E.set("max_diff", JsonValue::number(R.MaxDiff));
+    return E;
+  }
+  }
   return Reply;
 }
 

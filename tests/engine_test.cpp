@@ -113,6 +113,30 @@ TEST(EngineParity, CliAndServiceChecksumsAgreeOnADslRun) {
   EXPECT_EQ(serviceChecksum(Core, Req), Cli);
 }
 
+TEST(EngineParity, NativeVerifiedRunAgreesWithTheCli) {
+  auto [Rc, Out] = runCli("run cholesky-right product-wr --block=16 "
+                          "--params=64 --threads=2 --native=task --verify");
+  ASSERT_EQ(Rc, 0) << Out;
+  std::string Cli = cliChecksum(Out);
+  ASSERT_EQ(Cli.size(), 16u) << Out;
+
+  ServiceCore Core;
+  JsonValue Req;
+  std::string Err;
+  ASSERT_TRUE(parseJson(R"({"op":"run","benchmark":"cholesky-right",
+                            "config":"product-wr","block":16,"params":[64],
+                            "threads":2,"native":"task","verify":true})",
+                        Req, &Err))
+      << Err;
+  JsonValue Reply = Core.handle(Req);
+  ASSERT_TRUE(Reply.getBool("ok", false)) << Reply.str();
+  EXPECT_EQ(Reply.getString("checksum"), Cli);
+  EXPECT_EQ(Reply.getString("verify"), "bitwise") << Reply.str();
+
+  Req.set("native", JsonValue::string("block"));
+  EXPECT_EQ(Core.handle(Req).getString("code"), "usage-error");
+}
+
 TEST(EngineResolve, RegistryAndDslCholeskyShareAPlanKey) {
   ProgramSource Registry;
   Registry.Benchmark = "cholesky-right";

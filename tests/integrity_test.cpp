@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace shackle;
@@ -118,21 +119,33 @@ ParallelRunStats runExpectBitwise(const BenchSpec &Spec,
 // Checksum primitives
 //===----------------------------------------------------------------------===//
 
-TEST(Checksum, SingleBitFlipChangesTheDigest) {
+/// An undo log of \p Values along one run of array \p ArrayId from
+/// \p Offset on.
+BlockUndoLog oneRunLog(std::vector<double> Values, unsigned ArrayId = 0,
+                       int64_t Offset = 0) {
   BlockUndoLog Log;
+  Log.Runs = std::make_shared<const FootprintRuns>(FootprintRuns{
+      {ArrayId, Offset, static_cast<int64_t>(Values.size())}});
+  Log.Entries = std::move(Values);
+  return Log;
+}
+
+TEST(Checksum, SingleBitFlipChangesTheDigest) {
+  std::vector<double> Values;
   for (int I = 0; I < 32; ++I)
-    Log.Entries.push_back({0u, I, 1.0 + 0.25 * I});
+    Values.push_back(1.0 + 0.25 * I);
+  BlockUndoLog Log = oneRunLog(Values);
   const uint64_t Clean = checksumUndoLog(Log);
   EXPECT_EQ(checksumUndoLog(Log), Clean); // Deterministic.
   for (unsigned Bit : {0u, 31u, 52u, 63u}) {
     BlockUndoLog Mutated = Log;
-    Mutated.Entries[7].Value = flipDoubleBit(Mutated.Entries[7].Value, Bit);
+    Mutated.Entries[7] = flipDoubleBit(Mutated.Entries[7], Bit);
     EXPECT_NE(checksumUndoLog(Mutated), Clean) << "bit " << Bit;
   }
-  // Metadata is covered too: the same values at a shifted offset differ.
-  BlockUndoLog Shifted = Log;
-  Shifted.Entries[0].Offset += 1;
-  EXPECT_NE(checksumUndoLog(Shifted), Clean);
+  // Metadata is covered too: the same values at a shifted offset, or in
+  // another array, differ.
+  EXPECT_NE(checksumUndoLog(oneRunLog(Values, 0, 1)), Clean);
+  EXPECT_NE(checksumUndoLog(oneRunLog(Values, 1, 0)), Clean);
 }
 
 TEST(Checksum, FlipDoubleBitIsAnInvolution) {
@@ -149,10 +162,8 @@ TEST(Checksum, ZeroRepresentationsAreDistinguished) {
   // The digest hashes bit patterns, not values: +0.0 and -0.0 compare
   // equal as doubles but must not collide, or a sign-bit flip of a zero
   // would be undetectable.
-  BlockUndoLog Pos, Neg;
-  Pos.Entries.push_back({0u, 0, 0.0});
-  Neg.Entries.push_back({0u, 0, -0.0});
-  EXPECT_NE(checksumUndoLog(Pos), checksumUndoLog(Neg));
+  EXPECT_NE(checksumUndoLog(oneRunLog({0.0})),
+            checksumUndoLog(oneRunLog({-0.0})));
 }
 
 TEST(Cone, DownstreamConeIsTheTransitiveSuccessorSet) {
@@ -723,6 +734,160 @@ TEST_F(IntegrityTest, GenuineNanUnderNativeCommitsViaInterpreterOracle) {
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
   EXPECT_TRUE(diagContains(Stats.Diags, DiagCode::ParallelPoison,
                            "genuine numerical failure"));
+}
+
+//===----------------------------------------------------------------------===//
+// The plan-lifetime footprint memo (UndoLog.h): each task's write footprint
+// is enumerated once per plan, at its first capture, and every later run
+// reads it. The integrity ladder must behave the same on a memo hit as on
+// the first run that filled it.
+//===----------------------------------------------------------------------===//
+
+/// A Cholesky plan at N=20 with an SPD input: every result is finite, so
+/// the only non-finite value a run can see is an injected one.
+struct MemoFixture {
+  BenchSpec Spec = makeCholeskyRight();
+  ParallelPlan Plan = ParallelPlan::build(*Spec.Prog, cholStores4(*Spec.Prog),
+                                          {20});
+  ProgramInstance Input{*Spec.Prog, {20}};
+  MemoFixture() {
+    Input.fillRandom(77, 0.5, 1.5);
+    for (int64_t I = 0; I < 20; ++I)
+      Input.buffer(0)[I * 20 + I] += 100.0;
+  }
+};
+
+/// Runs \p F's plan from several threads at once, each on its own instance
+/// (the service and Engine case), then checks every result and that each
+/// task's memo slot was filled exactly once.
+void expectSharedPlanFillsOnce(const MemoFixture &F, const NativeModule *M) {
+  const ParallelPlan &Plan = F.Plan;
+  ASSERT_TRUE(Plan.parallelReady());
+  ProgramInstance Ref = F.Input;
+  Plan.runSerial(Ref);
+
+  constexpr unsigned Callers = 4;
+  std::vector<ProgramInstance> Insts(Callers, F.Input);
+  std::vector<ParallelRunStats> Stats(Callers);
+  std::vector<std::thread> Threads;
+  for (unsigned C = 0; C < Callers; ++C)
+    Threads.emplace_back([&, C] {
+      ParallelRunOptions Opts;
+      Opts.NumThreads = 2;
+      Opts.Native = M;
+      Stats[C] = Plan.run(Insts[C], Opts);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (unsigned C = 0; C < Callers; ++C) {
+    EXPECT_FALSE(Stats[C].Failed) << C;
+    EXPECT_EQ(Stats[C].Mode, ParallelMode::Parallel) << C;
+    EXPECT_TRUE(Ref.bitwiseEqual(Insts[C])) << C;
+  }
+
+  const std::vector<BlockTask> &Tasks = Plan.partition().Tasks;
+  for (uint32_t Id = 0; Id < Tasks.size(); ++Id) {
+    const BlockTask &T = Tasks[Id];
+    const bool Enumerated = M && M->taskWritesFor(Id);
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Native), Enumerated ? 1u : 0u)
+        << "task " << Id;
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Interpreter),
+              Enumerated ? 0u : 1u)
+        << "task " << Id;
+    // The memo holds exactly what a fresh interpreter walk collects.
+    BlockUndoLog Fresh = captureBlockUndo(Plan.nest(), T, Ref);
+    BlockUndoLog Memo = captureBlockUndo(Plan.nest(), T, Id, Ref, M);
+    EXPECT_EQ(Fresh.runs(), Memo.runs()) << "task " << Id;
+    EXPECT_EQ(Fresh.Entries, Memo.Entries) << "task " << Id;
+  }
+}
+
+TEST(UndoMemo, ConcurrentRunsOfASharedPlanFillEachFootprintOnce) {
+  MemoFixture F;
+  expectSharedPlanFillsOnce(F, nullptr);
+}
+
+TEST(UndoMemo, ConcurrentNativeRunsOfASharedPlanFillEachFootprintOnce) {
+  if (!nativeTierAvailable())
+    GTEST_SKIP() << "no usable native compiler on this machine";
+  MemoFixture F;
+  std::shared_ptr<NativeModule> M = compileModuleFor(F.Plan);
+  ASSERT_NE(M, nullptr);
+  expectSharedPlanFillsOnce(F, M.get());
+
+  // A run that may not execute native code never reads a footprint a
+  // compiled enumerator produced: it fills the interpreter slot.
+  ProgramInstance Inst = F.Input;
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 2;
+  EXPECT_FALSE(F.Plan.run(Inst, Opts).Failed);
+  for (const BlockTask &T : F.Plan.partition().Tasks) {
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Native), 1u);
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Interpreter), 1u);
+  }
+}
+
+TEST_F(IntegrityTest, MemoHitRunsDetectAndRecoverLikeTheFirstRun) {
+  // Each injection runs twice on one plan: the first run fills the memo,
+  // the second reads it. Detection, recovery, and the result must match.
+  struct Case {
+    const char *Spec;
+    DataVerify Verify;
+  };
+  const Case Cases[] = {
+      {"seed=9;throw@block=2,count=1;corrupt-undo@block=2", DataVerify::Undo},
+      {"seed=5;flip@block=1", DataVerify::Block},
+      {"seed=5;nan@block=2", DataVerify::Undo},
+  };
+  std::vector<bool> Tiers{false};
+  if (nativeTierAvailable())
+    Tiers.push_back(true);
+  for (bool Native : Tiers) {
+    for (const Case &C : Cases) {
+      SCOPED_TRACE(std::string(C.Spec) + (Native ? " native" : ""));
+      MemoFixture F;
+      ASSERT_TRUE(F.Plan.parallelReady());
+      std::shared_ptr<NativeModule> M;
+      if (Native) {
+        M = compileModuleFor(F.Plan);
+        ASSERT_NE(M, nullptr);
+      }
+      ParallelRunOptions Opts;
+      Opts.NumThreads = 1; // One schedule, so both runs are comparable.
+      Opts.VerifyData = C.Verify;
+      Opts.Native = M.get();
+
+      std::vector<ProgramInstance> Out(2, F.Input);
+      std::vector<ParallelRunStats> Stats(2);
+      for (unsigned Run = 0; Run < 2; ++Run) {
+        arm(C.Spec);
+        if (IsSkipped())
+          return;
+        Stats[Run] = F.Plan.run(Out[Run], Opts);
+      }
+      const ParallelRunStats &First = Stats[0], &Hit = Stats[1];
+      EXPECT_GE(Hit.Integrity.CorruptionsDetected, 1u);
+      EXPECT_EQ(Hit.Failed, First.Failed);
+      EXPECT_EQ(Hit.Mode, First.Mode);
+      EXPECT_EQ(Hit.Retries, First.Retries);
+      EXPECT_EQ(Hit.Integrity.ChecksumsVerified,
+                First.Integrity.ChecksumsVerified);
+      EXPECT_EQ(Hit.Integrity.CorruptionsDetected,
+                First.Integrity.CorruptionsDetected);
+      EXPECT_EQ(Hit.Integrity.UndoRefused, First.Integrity.UndoRefused);
+      EXPECT_EQ(Hit.Integrity.PoisonedBlocks, First.Integrity.PoisonedBlocks);
+      EXPECT_EQ(Hit.Integrity.PristineReplays,
+                First.Integrity.PristineReplays);
+      EXPECT_TRUE(Out[0].bitwiseEqual(Out[1]));
+      ASSERT_EQ(Hit.Diags.size(), First.Diags.size());
+      for (std::size_t I = 0; I < Hit.Diags.size(); ++I)
+        EXPECT_EQ(Hit.Diags[I].str(), First.Diags[I].str());
+      for (const BlockTask &T : F.Plan.partition().Tasks) {
+        EXPECT_LE(T.Footprint.fills(FootprintMemo::Native), 1u);
+        EXPECT_LE(T.Footprint.fills(FootprintMemo::Interpreter), 1u);
+      }
+    }
+  }
 }
 
 } // namespace

@@ -507,8 +507,9 @@ TEST_F(NativeTest, ModuleServesARebuiltPlanWithTheSamePlanKey) {
 
 //===----------------------------------------------------------------------===//
 // Write-footprint enumerators: the compiled `_writes` companions must
-// report byte-for-byte the footprint the interpreter walk collects — the
-// undo log, checksums, and poison scans all key off that set.
+// report exactly the footprint the interpreter walk collects — the same
+// runs and pre-images; the undo log, checksums, and poison scans all key
+// off that set.
 //===----------------------------------------------------------------------===//
 
 void expectFootprintAgreement(const BenchSpec &Spec,
@@ -532,12 +533,17 @@ void expectFootprintAgreement(const BenchSpec &Spec,
     BlockUndoLog Interp = captureBlockUndo(Plan.nest(), T, Inst);
     BlockUndoLog Native =
         captureBlockUndo(Plan.nest(), T, Id, Inst, M.get());
+    EXPECT_EQ(Interp.runs(), Native.runs()) << "task " << Id;
     ASSERT_EQ(Interp.Entries.size(), Native.Entries.size());
-    for (std::size_t I = 0; I < Interp.Entries.size(); ++I) {
-      EXPECT_EQ(Interp.Entries[I].ArrayId, Native.Entries[I].ArrayId);
-      EXPECT_EQ(Interp.Entries[I].Offset, Native.Entries[I].Offset);
-      EXPECT_EQ(Interp.Entries[I].Value, Native.Entries[I].Value);
-    }
+    for (std::size_t I = 0; I < Interp.Entries.size(); ++I)
+      EXPECT_EQ(Interp.Entries[I], Native.Entries[I]);
+    // The enumerator filled the task's memo once; a second capture reads
+    // the same runs, and the interpreter slot stays empty.
+    BlockUndoLog Again =
+        captureBlockUndo(Plan.nest(), T, Id, Inst, M.get());
+    EXPECT_EQ(Again.Runs, Native.Runs);
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Native), 1u);
+    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Interpreter), 0u);
   }
 }
 
