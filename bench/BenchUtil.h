@@ -150,32 +150,6 @@ inline void setBenchMeta(benchmark::State &St, int64_t N, int64_t Block,
   St.counters["threads"] = benchmark::Counter(static_cast<double>(Threads));
 }
 
-/// Tags a parallel-plan benchmark with its dependence-DAG shape and build
-/// cost: node count (tasks), edge count, and the DAG construction time in
-/// milliseconds. The JSON sink emits these per record, so flat vs
-/// hierarchical coarsening (nodes ratio, build-time ratio) can be diffed
-/// directly from the sweep output.
-inline void setDagStats(benchmark::State &St, double Nodes, double Edges,
-                        double DagBuildMs) {
-  St.counters["nodes"] = benchmark::Counter(Nodes);
-  St.counters["edges"] = benchmark::Counter(Edges);
-  St.counters["dag_build_ms"] = benchmark::Counter(DagBuildMs);
-}
-
-/// Tags a parallel-run benchmark with its steal-locality telemetry so the
-/// JSON sink records how well the placement policy kept blocks on their
-/// home workers: total/local/remote steal counts, the fraction of tasks
-/// that executed on their affinity home, and the estimated bytes of block
-/// footprint dragged across locality domains.
-inline void setLocalityStats(benchmark::State &St, double Steals,
-                             double LocalSteals, double HomeHitPct,
-                             double BytesMigrated) {
-  St.counters["steals"] = benchmark::Counter(Steals);
-  St.counters["local_steals"] = benchmark::Counter(LocalSteals);
-  St.counters["home_hit_pct"] = benchmark::Counter(HomeHitPct);
-  St.counters["bytes_migrated"] = benchmark::Counter(BytesMigrated);
-}
-
 /// Tags a service benchmark with the plan-cache counters behind the run
 /// (docs/SERVE.md): cache hits/misses, single-flight coalesces, and Omega
 /// queries avoided through cached verdicts, plus the measured request
@@ -204,14 +178,6 @@ inline void setSaturationStats(benchmark::State &St, double Shed,
   St.counters["deadline_expired"] = benchmark::Counter(DeadlineExpired);
   St.counters["accepted_p95_us"] = benchmark::Counter(AcceptedP95Us);
   St.counters["goodput_req_s"] = benchmark::Counter(GoodputReqS);
-}
-
-/// Tags a benchmark with cache-simulation miss counts accumulated over the
-/// per-worker traces of a parallel run (see WorkerTraces).
-inline void setWorkerMissStats(benchmark::State &St, double L1Misses,
-                               double L2Misses) {
-  St.counters["l1_misses"] = benchmark::Counter(L1Misses);
-  St.counters["l2_misses"] = benchmark::Counter(L2Misses);
 }
 
 /// Tags a benchmark with measured hardware counters from a PerfCounterSet
@@ -261,16 +227,6 @@ public:
     std::string Name;
     int64_t N = 0, Block = 0, Threads = 0;
     double NsPerIter = 0.0;
-    /// Dependence-DAG shape for parallel-plan benchmarks (0 when the
-    /// benchmark does not set them via setDagStats).
-    int64_t Nodes = 0, Edges = 0;
-    double DagBuildMs = 0.0;
-    /// Steal-locality telemetry (0 unless set via setLocalityStats /
-    /// setWorkerMissStats).
-    int64_t Steals = 0, LocalSteals = 0;
-    double HomeHitPct = 0.0;
-    int64_t BytesMigrated = 0;
-    int64_t L1Misses = 0, L2Misses = 0;
     /// Plan-cache service telemetry (0 unless set via setServiceStats).
     int64_t Hits = 0, Misses = 0, Coalesced = 0, SolverSaved = 0;
     double ReqPerS = 0.0;
@@ -305,21 +261,6 @@ public:
       Rec.N = Counter("n");
       Rec.Block = Counter("block");
       Rec.Threads = Counter("threads");
-      Rec.Nodes = Counter("nodes");
-      Rec.Edges = Counter("edges");
-      {
-        auto It = R.counters.find("dag_build_ms");
-        Rec.DagBuildMs = It == R.counters.end() ? 0.0 : It->second.value;
-      }
-      Rec.Steals = Counter("steals");
-      Rec.LocalSteals = Counter("local_steals");
-      {
-        auto It = R.counters.find("home_hit_pct");
-        Rec.HomeHitPct = It == R.counters.end() ? 0.0 : It->second.value;
-      }
-      Rec.BytesMigrated = Counter("bytes_migrated");
-      Rec.L1Misses = Counter("l1_misses");
-      Rec.L2Misses = Counter("l2_misses");
       Rec.Hits = Counter("hits");
       Rec.Misses = Counter("misses");
       Rec.Coalesced = Counter("coalesced");
@@ -381,11 +322,6 @@ inline bool writeJsonRecords(const char *Path,
     std::fprintf(F,
                  "  {\"name\": \"%s\", \"n\": %lld, \"block\": %lld, "
                  "\"threads\": %lld, \"ns_per_iter\": %.3f, "
-                 "\"nodes\": %lld, \"edges\": %lld, "
-                 "\"dag_build_ms\": %.3f, "
-                 "\"steals\": %lld, \"local_steals\": %lld, "
-                 "\"home_hit_pct\": %.1f, \"bytes_migrated\": %lld, "
-                 "\"l1_misses\": %lld, \"l2_misses\": %lld, "
                  "\"hits\": %lld, \"misses\": %lld, \"coalesced\": %lld, "
                  "\"solver_saved\": %lld, \"req_per_s\": %.1f, "
                  "\"shed\": %lld, \"deadline_expired\": %lld, "
@@ -401,13 +337,6 @@ inline bool writeJsonRecords(const char *Path,
                  static_cast<long long>(Rs[I].N),
                  static_cast<long long>(Rs[I].Block),
                  static_cast<long long>(Rs[I].Threads), Rs[I].NsPerIter,
-                 static_cast<long long>(Rs[I].Nodes),
-                 static_cast<long long>(Rs[I].Edges), Rs[I].DagBuildMs,
-                 static_cast<long long>(Rs[I].Steals),
-                 static_cast<long long>(Rs[I].LocalSteals), Rs[I].HomeHitPct,
-                 static_cast<long long>(Rs[I].BytesMigrated),
-                 static_cast<long long>(Rs[I].L1Misses),
-                 static_cast<long long>(Rs[I].L2Misses),
                  static_cast<long long>(Rs[I].Hits),
                  static_cast<long long>(Rs[I].Misses),
                  static_cast<long long>(Rs[I].Coalesced),

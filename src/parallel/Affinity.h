@@ -61,8 +61,8 @@ AffinityMap buildAffinityMap(std::size_t NumTasks,
 /// hierarchical tasks that replay more inner work count proportionally.
 AffinityMap buildAffinityMap(const BlockPartition &Part, unsigned NumWorkers);
 
-/// Locality-domain width to use when the caller did not pick one: on Linux
-/// the worker count is divided evenly over the machine's NUMA nodes
+/// Locality-domain width for a pool of \p NumWorkers: on Linux the worker
+/// count is divided evenly over the machine's NUMA nodes
 /// (/sys/devices/system/node); on a single-node machine (or any platform
 /// where detection fails) all workers share one domain.
 unsigned detectDomainSize(unsigned NumWorkers);

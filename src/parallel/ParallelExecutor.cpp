@@ -21,7 +21,6 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 using namespace shackle;
 
@@ -278,22 +277,15 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     Pristine = capturePristine(Inst);
 
   // Placement: clamp the worker count exactly as the scheduler will, then
-  // (under affinity placement) split the lexicographic task order into one
-  // segment-weighted contiguous range per effective worker. Neighboring
-  // blocks share panel reuse by the data-centric construction, so a
-  // contiguous range is also a cache-coherent one.
+  // split the lexicographic task order into one segment-weighted contiguous
+  // range per effective worker. Neighboring blocks share panel reuse by the
+  // data-centric construction, so a contiguous range is also a
+  // cache-coherent one.
   const unsigned ReqThreads = Opts.NumThreads == 0 ? 1 : Opts.NumThreads;
   const unsigned EffWorkers = static_cast<unsigned>(
       std::min<std::size_t>(ReqThreads, N == 0 ? 1 : N));
-  const bool UseAffinity = Opts.Placement == TaskPlacement::Affinity;
-  AffinityMap AMap;
-  if (UseAffinity)
-    AMap = buildAffinityMap(Partition, EffWorkers);
-  const unsigned DomainSizeOpt =
-      Opts.DomainSize == 0 ? detectDomainSize(EffWorkers) : Opts.DomainSize;
-  const unsigned DomSize = (DomainSizeOpt == 0 || DomainSizeOpt > EffWorkers)
-                               ? EffWorkers
-                               : DomainSizeOpt;
+  const AffinityMap AMap = buildAffinityMap(Partition, EffWorkers);
+  const unsigned DomSize = detectDomainSize(EffWorkers);
   auto domainOf = [DomSize](unsigned W) { return W / DomSize; };
   std::atomic<uint64_t> BytesMigrated{0};
 
@@ -468,8 +460,7 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     // The undo snapshot is exactly the block's write footprint, so it
     // doubles as the migration estimate: executing outside the home
     // worker's domain drags that many elements across domains.
-    if (Opts.UndoLog && UseAffinity &&
-        domainOf(Worker) != domainOf(AMap.Home[T]))
+    if (Opts.UndoLog && domainOf(Worker) != domainOf(AMap.Home[T]))
       BytesMigrated.fetch_add(Undo.Entries.size() * sizeof(double),
                               std::memory_order_relaxed);
 
@@ -735,45 +726,12 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     return false;
   };
 
-  // First-touch warming: each home worker reads its own range's write
-  // footprints once before the run, so first-touch NUMA policies place
-  // those pages on the worker's node. Strictly read-only — footprints of
-  // neighboring tasks may overlap, so a writing pass would race.
-  uint64_t FirstTouchElems = 0;
-  if (Opts.FirstTouch && UseAffinity && N > 0) {
-    std::atomic<uint64_t> Touched{0};
-    auto warmRange = [&](unsigned W) {
-      volatile double Acc = 0.0;
-      uint64_t Count = 0;
-      for (uint32_t T = AMap.RangeBegin[W]; T < AMap.RangeBegin[W + 1]; ++T)
-        for (const BlockTask::Segment &Seg : Tasks[T].Segments)
-          collectSubtreeWrites(CG.Nest, *Seg.Node, Seg.DimValues, Inst,
-                               [&](unsigned ArrayId, int64_t Offset) {
-                                 Acc = Acc + Inst.buffer(ArrayId)[Offset];
-                                 ++Count;
-                               });
-      Touched.fetch_add(Count, std::memory_order_relaxed);
-    };
-    std::vector<std::thread> Warmers;
-    Warmers.reserve(EffWorkers - 1);
-    for (unsigned W = 1; W < EffWorkers; ++W)
-      Warmers.emplace_back(warmRange, W);
-    warmRange(0);
-    for (std::thread &Th : Warmers)
-      Th.join();
-    FirstTouchElems = Touched.load(std::memory_order_relaxed);
-  }
-
   DagRunOptions DOpts;
   DOpts.NumThreads = Opts.NumThreads == 0 ? 1 : Opts.NumThreads;
   DOpts.DeadlineMs = Opts.DeadlineMs;
   DOpts.StallTimeoutMs = Opts.StallTimeoutMs;
-  if (UseAffinity)
-    DOpts.Affinity = &AMap.Home;
+  DOpts.Affinity = &AMap.Home;
   DOpts.DomainSize = DomSize;
-  DOpts.StealRemoteAfter = Opts.StealRemoteAfter;
-  DOpts.RandomVictim = Opts.RandomSteal;
-  DOpts.StealSeed = Opts.StealSeed;
 #ifdef SHACKLE_ENABLE_FAULT_INJECTION
   // Injected stalls and deaths wedge the pool on purpose; without a
   // watchdog they would hang the run forever, so chaos runs always get one.
@@ -828,7 +786,6 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     S.NativeTaskCalls = NativeTasks.load(std::memory_order_relaxed);
     S.NativeOracleReruns = OracleReruns.load(std::memory_order_relaxed);
     S.BytesMigrated = BytesMigrated.load(std::memory_order_relaxed);
-    S.FirstTouchElems = FirstTouchElems;
     uint64_t TotalRetries = 0;
     bool AnyRetry = false;
     for (uint32_t C : RetryCount) {

@@ -60,13 +60,13 @@
 /// ordered identically to the serial shackled execution, making parallel
 /// results bitwise-identical to serial ones for any thread count.
 ///
-/// Locality (DESIGN.md §11): by default a run builds an affinity map —
-/// one contiguous, segment-weighted range of the lexicographic block order
-/// per worker — seeds every task on its home worker, and lets the
-/// hierarchical scheduler keep tasks near home (same-domain steals first,
-/// remote domains only when a domain runs dry). Placement, domain size,
-/// steal policy, and the first-touch warming pass are all per-run options;
-/// none of them changes results, only where blocks execute.
+/// Locality (DESIGN.md §11): every run builds an affinity map — one
+/// contiguous, segment-weighted range of the lexicographic block order per
+/// worker — seeds every task on its home worker, and lets the hierarchical
+/// scheduler keep tasks near home (same-domain steals first, remote domains
+/// only when a domain runs dry; the domain width comes from
+/// detectDomainSize). This is the only placement policy; it changes where
+/// blocks execute, never their results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,19 +136,6 @@ enum class ParallelMode {
 
 const char *parallelModeName(ParallelMode M);
 
-/// How initially-ready tasks and released successors are placed on workers.
-enum class TaskPlacement {
-  /// Owner-computes: an affinity map computed at plan time splits the
-  /// lexicographic block order into one contiguous, weight-balanced range
-  /// per worker; every task is seeded to (and routed back toward) its home
-  /// worker, so neighboring blocks — which share panel reuse by the paper's
-  /// data-centric construction — stay in the same cache.
-  Affinity,
-  /// The legacy policy: seed round-robin, successors stay with whichever
-  /// worker released them. Kept as the locality baseline.
-  RoundRobin,
-};
-
 /// Host-side helper functions passed to native task kernels. This struct
 /// is the binary mirror of the `shackle_native_hooks` struct that
 /// emitNativeTranslationUnit defines inside each generated TU: the field
@@ -204,27 +191,6 @@ public:
 /// Per-run knobs for the self-healing execution path.
 struct ParallelRunOptions {
   unsigned NumThreads = 1;
-  /// Task placement policy (see TaskPlacement).
-  TaskPlacement Placement = TaskPlacement::Affinity;
-  /// Locality-domain width for hierarchical stealing: workers [0, D),
-  /// [D, 2D), ... steal within their own domain first. 0 = auto-detect
-  /// (one domain per NUMA node when the machine has several; otherwise a
-  /// single flat domain, the legacy behavior).
-  unsigned DomainSize = 0;
-  /// Consecutive empty same-domain steal scans before a worker tries
-  /// remote domains. 0 disables cross-domain stealing; see
-  /// DagRunOptions::StealRemoteAfter for the interaction with DomainSize.
-  unsigned StealRemoteAfter = 2;
-  /// Benchmark baseline: steal from seeded pseudo-random victims instead
-  /// of the deterministic local-first ring (forces locality loss).
-  bool RandomSteal = false;
-  /// Seed for RandomSteal victim selection (runs stay reproducible).
-  uint64_t StealSeed = 0;
-  /// Warm each home worker's pages before the run: every worker reads its
-  /// own tasks' write footprints once, so first-touch NUMA policies place
-  /// those pages on the worker's node. Read-only — footprints of distinct
-  /// tasks may overlap, so the warming pass never writes.
-  bool FirstTouch = false;
   /// Snapshot each block's write footprint before running it so a failed
   /// block can be rolled back and retried. Off = the pre-fault-tolerance
   /// fast path (benchmarks): any task failure poisons the run.
@@ -334,10 +300,8 @@ struct ParallelRunStats {
   unsigned DomainSize = 0;     ///< Workers per domain after clamping.
   /// Estimated bytes of block write-footprint executed outside the home
   /// worker's domain (undo-log entry counts x sizeof(double); 0 when undo
-  /// logging or affinity placement is off).
+  /// logging is off or the pool is a single domain).
   uint64_t BytesMigrated = 0;
-  /// Elements read by the first-touch warming pass (0 unless FirstTouch).
-  uint64_t FirstTouchElems = 0;
   /// Block-body failures caught (each rolled back via the undo log).
   uint64_t Faults = 0;
   /// Rollback-and-retry attempts across all blocks and both phases.

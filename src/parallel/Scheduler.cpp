@@ -44,14 +44,9 @@ uint64_t msBetween(Clock::time_point From, Clock::time_point To) {
           .count());
 }
 
-/// SplitMix64 finalizer: seeds the RandomVictim scan offsets so that the
-/// "random" baseline is still a pure function of (seed, worker, attempt).
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
+/// Consecutive empty same-domain scans before an idle worker widens its
+/// stealing to remote deques and foreign mailboxes.
+constexpr unsigned LocalScansBeforeRemote = 2;
 
 /// Per-worker loop state: run/steal tallies plus the consecutive-empty-
 /// local-scan counter that gates cross-domain stealing.
@@ -59,7 +54,6 @@ struct WorkerCtx {
   uint64_t Ran = 0, Steals = 0, LocalSteals = 0, RemoteSteals = 0;
   uint64_t Parks = 0, HomeHits = 0;
   unsigned FailedLocalScans = 0;
-  uint64_t StealNonce = 0; ///< RandomVictim attempt counter.
 };
 
 /// Shared state of one runTaskDagPartial invocation.
@@ -73,13 +67,6 @@ struct DagRun {
   const std::vector<uint32_t> *Affinity;
   unsigned DomainSize;
   unsigned NumDomains;
-  unsigned StealRemoteAfter;
-  bool RandomVictim;
-  uint64_t StealSeed;
-  /// Stealing fully disabled (DomainSize == 1 domains-of-one plus no
-  /// remote phase): mailbox delivery must then block, never fall back,
-  /// so every task runs on its home worker.
-  bool NoSteal;
 
   std::unique_ptr<std::atomic<uint32_t>[]> Deg;
   /// 1 after a task's body ran and returned true. Read post-join by the
@@ -150,9 +137,6 @@ struct DagRun {
                        ? NumWorkers
                        : Opts.DomainSize),
         NumDomains((NumWorkers + DomainSize - 1) / DomainSize),
-        StealRemoteAfter(Opts.StealRemoteAfter),
-        RandomVictim(Opts.RandomVictim), StealSeed(Opts.StealSeed),
-        NoSteal(DomainSize == 1 && StealRemoteAfter == 0 && !RandomVictim),
         Deg(new std::atomic<uint32_t>[NumTasks ? NumTasks : 1]),
         TaskDone(new std::atomic<uint8_t>[NumTasks ? NumTasks : 1]),
         Heartbeat(new std::atomic<uint64_t>[NumWorkers]),
@@ -212,9 +196,8 @@ struct DagRun {
   /// Routes a released successor to the most local runnable place: the
   /// finisher's own deque when it is the task's home (or no affinity is
   /// set), otherwise the home worker's mailbox. A contended mailbox falls
-  /// back to the finisher's deque — the task stays runnable, just less
-  /// local — except under NoSteal, where nothing would ever move it back,
-  /// so delivery takes the lock unconditionally.
+  /// back to the finisher's deque: the task stays runnable, just less
+  /// local.
   void routeReady(unsigned Me, uint32_t V) {
     unsigned Home;
     if (!Affinity || (Home = homeOf(V)) == Me) {
@@ -222,11 +205,7 @@ struct DagRun {
       return;
     }
     Mailbox &MB = Mailboxes[Home];
-    std::unique_lock<std::mutex> L(MB.M, std::defer_lock);
-    if (NoSteal)
-      L.lock();
-    else
-      (void)L.try_lock();
+    std::unique_lock<std::mutex> L(MB.M, std::try_to_lock);
     if (L.owns_lock()) {
       try {
         MB.Q.push_back(V);
@@ -284,26 +263,6 @@ struct DagRun {
       return true;
     }
 
-    if (RandomVictim) {
-      // Baseline mode: full ring scan from a seeded pseudo-random start,
-      // domains ignored. (R + I) % (NumWorkers - 1) visits every other
-      // worker exactly once, so nothing is missed — only the order varies.
-      if (NumWorkers > 1) {
-        uint64_t R = mix64(StealSeed ^ (static_cast<uint64_t>(Me) << 32) ^
-                           ++C.StealNonce);
-        for (unsigned I = 0; I < NumWorkers - 1; ++I) {
-          unsigned Victim =
-              (Me + 1 + static_cast<unsigned>((R + I) % (NumWorkers - 1))) %
-              NumWorkers;
-          if (Deques[Victim]->steal(T) || popMailbox(Victim, T)) {
-            countSteal(Me, Victim, C);
-            return true;
-          }
-        }
-      }
-      return false;
-    }
-
     // Hierarchical scan: same-domain victims first, deterministic ring
     // order from Me so chaos runs stay reproducible.
     unsigned DomBegin = domainOf(Me) * DomainSize;
@@ -315,11 +274,11 @@ struct DagRun {
         return true;
       }
     }
-    // Desperate phase, entered only after StealRemoteAfter consecutive
+    // Desperate phase, entered only after LocalScansBeforeRemote consecutive
     // empty local scans: remote deques first, then every foreign mailbox
     // (including same-domain ones, so a dead owner's deliveries are
     // recovered even in a single-domain pool).
-    if (StealRemoteAfter > 0 && C.FailedLocalScans >= StealRemoteAfter) {
+    if (C.FailedLocalScans >= LocalScansBeforeRemote) {
       for (unsigned I = 1; I < NumWorkers; ++I) {
         unsigned Victim = (Me + I) % NumWorkers;
         if (Victim >= DomBegin && Victim < DomBegin + DomCount)

@@ -15,17 +15,14 @@
 /// falling back to the local deque if the mailbox is contended, so a block
 /// stays with the worker whose cache holds its panels.
 ///
-/// Idle workers scan victims deterministically, not randomly: first the
-/// other deques of their own locality domain (a contiguous group of
-/// DomainSize workers) in ring order (Me + I) % DomainSize, then — only
-/// after StealRemoteAfter consecutive empty local scans — every remote
-/// deque and finally every foreign mailbox, so tasks homed to a dead
-/// worker or a dead domain are still picked up. The deterministic ring
-/// keeps chaos runs reproducible; RandomVictim (for locality baselines)
-/// replaces the scan's starting point with a seeded pseudo-random one that
-/// is still a pure function of (StealSeed, worker, attempt). Workers park
-/// on a condition variable when the whole system looks empty, so a
-/// wavefront that narrows to one task does not spin the other cores.
+/// Idle workers scan victims in a fixed order: first the other deques of
+/// their own locality domain (a contiguous group of DomainSize workers) in
+/// ring order (Me + I) % DomainSize, then - only after two consecutive
+/// empty local scans - every remote deque and finally every foreign
+/// mailbox, so tasks homed to a dead worker or a dead domain are still
+/// picked up. The deterministic ring keeps chaos runs reproducible.
+/// Workers park on a condition variable when the whole system looks empty,
+/// so a wavefront that narrows to one task does not spin the other cores.
 ///
 /// The caller must pass an acyclic graph (a Kahn pass verifies before
 /// touching any task and refuses cyclic inputs). Task bodies run at most
@@ -108,25 +105,11 @@ struct DagRunOptions {
   /// which may be clamped below NumThreads). When set, initially ready
   /// tasks are seeded to their home's deque and released successors are
   /// routed to their home's mailbox; when null, seeding is round-robin and
-  /// successors stay with the finishing worker (the legacy policy).
+  /// successors stay with the finishing worker.
   const std::vector<uint32_t> *Affinity = nullptr;
   /// Locality-domain width: workers [0, D), [D, 2D), ... form domains.
-  /// 0 (or any value >= the worker count) puts every worker in one domain,
-  /// which reproduces the pre-hierarchical flat steal scan.
+  /// 0 (or any value >= the worker count) puts every worker in one domain.
   unsigned DomainSize = 0;
-  /// Consecutive empty same-domain scans before a worker widens its
-  /// stealing to remote domains (deques, then mailboxes). 0 disables
-  /// cross-domain stealing entirely; combined with DomainSize == 1 it
-  /// disables stealing altogether, and mailbox delivery then blocks
-  /// (instead of falling back locally) so every task still reaches its
-  /// home worker.
-  unsigned StealRemoteAfter = 2;
-  /// Baseline for locality benchmarks: scan victims from a seeded
-  /// pseudo-random starting point (ignoring domains) instead of the
-  /// deterministic local-first ring. Victim order is still a pure function
-  /// of (StealSeed, worker, attempt), so runs remain reproducible.
-  bool RandomVictim = false;
-  uint64_t StealSeed = 0;
 };
 
 struct DagRunResult {

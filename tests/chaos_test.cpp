@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "native/NativeJit.h"
+#include "parallel/Affinity.h"
 #include "parallel/ChaseLevDeque.h"
 #include "parallel/ParallelExecutor.h"
 #include "parallel/Scheduler.h"
@@ -284,33 +285,55 @@ TEST_F(ChaosTest, DomainDeathClauseParsesAndHasAFiniteBudget) {
 
 TEST_F(ChaosTest, DeadDomainIsDrainedByRemoteStealsAndRecovers) {
   // Kill locality domain 0 (workers 0 and 1 at DomainSize = 2): each dies
-  // on its first claim, losing that task. ADI's outer column panels are
-  // fully independent (every task initially ready, seeded to its home
-  // deque), so domain 0's remaining tasks can only be executed by domain 1
-  // workers raiding the dead workers' deques and mailboxes across the
-  // domain boundary. The lost claims wedge the pool; the watchdog then
-  // degrades to the bitwise serial replay.
+  // on its first claim, losing that task. The graph is edge-free, so every
+  // task is seeded to its home deque up front, and domain 0's remaining
+  // tasks can only be executed by domain 1 workers raiding the dead
+  // workers' deques and mailboxes across the domain boundary. The lost
+  // claims wedge the pool until the stall watchdog quiesces it; the
+  // completion map then names exactly the lost tasks, which a serial
+  // replay (the executor's degraded mode) finishes. A single-node machine
+  // never splits the executor's pool, so the scheduler is driven directly.
   arm("seed=3;die@domain=0,count=2");
-  BenchSpec Spec = makeADI();
-  ParallelRunOptions Opts;
+  const std::size_t N = 16;
+  std::vector<std::vector<uint32_t>> Succs(N);
+  std::vector<uint32_t> InDeg(N, 0);
+  AffinityMap Map = buildAffinityMap(N, {}, 4);
+  DagRunOptions Opts;
   Opts.NumThreads = 4;
   Opts.DomainSize = 2;
+  Opts.Affinity = &Map.Home;
   Opts.StallTimeoutMs = 150;
-  ParallelPlanOptions PlanOpts;
-  PlanOpts.TaskLevel = 1; // Outer panels only: an edge-free task graph.
-  ParallelRunStats Stats =
-      runExpectBitwise(Spec, adiShackleTwoLevel(*Spec.Prog, 8), {64}, Opts,
-                       PlanOpts);
-  EXPECT_EQ(Stats.Mode, ParallelMode::Degraded);
-  EXPECT_EQ(Stats.Abort, DagAbort::Stalled);
-  EXPECT_EQ(Stats.NumDomains, 2u);
-  // Domain 0 owns a quarter of the panels per worker; at most two are lost
-  // to the deaths and no domain-0 worker can run the rest (a claim kills),
-  // so the survivors must have pulled at least two across the boundary.
-  EXPECT_GE(Stats.RemoteSteals, 2u);
-  EXPECT_GE(FaultInjector::instance().counters().DomainDeaths, 1u);
-  EXPECT_GT(Stats.ReplayedSerially, 0u);
-  EXPECT_TRUE(hasDiag(Stats.Diags, DiagCode::ParallelDegrade));
+  std::vector<std::atomic<uint32_t>> Ran(N);
+  for (auto &R : Ran)
+    R.store(0);
+  DagRunResult Result =
+      runTaskDagPartial(N, Succs, InDeg, Opts, [&](uint32_t T, unsigned) {
+        Ran[T].fetch_add(1);
+        return true;
+      });
+  ASSERT_FALSE(Result.Refused);
+  EXPECT_FALSE(Result.Completed);
+  EXPECT_EQ(Result.Stats.Abort, DagAbort::Stalled);
+  EXPECT_EQ(Result.Stats.NumDomains, 2u);
+  // Domain 0 homes 8 tasks; at most two are lost to the deaths and no
+  // domain-0 worker can run the rest (a claim kills), so the survivors
+  // must have pulled at least two across the boundary.
+  EXPECT_GE(Result.Stats.RemoteSteals, 2u);
+  uint64_t Deaths = FaultInjector::instance().counters().DomainDeaths;
+  EXPECT_GE(Deaths, 1u);
+
+  // Recovery: exactly the claims that died are unfinished, and replaying
+  // them runs every task exactly once.
+  uint64_t Unfinished = 0;
+  for (std::size_t T = 0; T < N; ++T)
+    if (!Result.TaskDone[T]) {
+      ++Unfinished;
+      EXPECT_EQ(Ran[T].load(), 0u) << "task " << T;
+      Ran[T].fetch_add(1);
+    }
+  EXPECT_EQ(Unfinished, Deaths);
+  for (std::size_t T = 0; T < N; ++T)
+    EXPECT_EQ(Ran[T].load(), 1u) << "task " << T;
 }
 
 TEST_F(ChaosTest, DeadlineExpiryDegradesAndStillFinishesExactly) {

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace {
@@ -163,6 +164,31 @@ TEST(Cli, RunRejectsMalformedVerifyData) {
   EXPECT_EQ(Rc, 1) << Out;
   EXPECT_NE(Out.find("usage-error"), std::string::npos) << Out;
   EXPECT_NE(Out.find("--verify-data"), std::string::npos) << Out;
+}
+
+TEST(Cli, RejectsUnknownFlags) {
+  // A misspelt flag must never run silently with its default; neither may
+  // a flag of a policy the runtime no longer has.
+  for (const char *Flag :
+       {"--threds=2", "--placement=round-robin", "--domain-size=2",
+        "--steal-remote-after=0", "--random-steal", "--steal-seed=7",
+        "--first-touch"}) {
+    auto [Rc, Out] =
+        runCli(std::string("run matmul c --block=16 --params=48 ") + Flag);
+    std::string Name(Flag, std::strcspn(Flag, "="));
+    EXPECT_EQ(Rc, 1) << Flag << "\n" << Out;
+    EXPECT_NE(Out.find("error: [usage-error] unknown flag '" + Name +
+                       "' for 'run'"),
+              std::string::npos)
+        << Out;
+    EXPECT_EQ(Out.find("ran "), std::string::npos) << Out;
+  }
+  // Each action has its own list: a run flag is unknown to codegen.
+  auto [Rc, Out] = runCli("codegen matmul c --block=16 --threads=2");
+  EXPECT_EQ(Rc, 1) << Out;
+  EXPECT_NE(Out.find("unknown flag '--threads' for 'codegen'"),
+            std::string::npos)
+      << Out;
 }
 
 class CliFile : public ::testing::Test {

@@ -6,27 +6,25 @@
 //===----------------------------------------------------------------------===//
 //
 // The battery for locality-aware scheduling (DESIGN.md §11): affinity
-// placement, locality domains, hierarchical stealing, and the random-victim
-// baseline must all preserve bitwise serial equality at every thread count
-// on MMM, Cholesky, and ADI; the affinity map must partition the task order
-// into exactly one contiguous range per worker; and with stealing disabled
-// every task must execute on its affinity home worker (verified through the
-// per-worker memory traces). Steal telemetry must stay consistent:
-// Steals == LocalSteals + RemoteSteals, and all tasks are home hits when
-// nothing can steal.
+// placement with hierarchical stealing must preserve bitwise serial
+// equality at every thread count on MMM, Cholesky, and ADI; the affinity
+// map must partition the task order into exactly one contiguous range per
+// worker; and steal telemetry must stay consistent (Steals == LocalSteals +
+// RemoteSteals, also across a two-domain split driven directly through the
+// scheduler, and every task is a home hit when one worker runs alone).
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/Interpreter.h"
 #include "parallel/Affinity.h"
 #include "parallel/ParallelExecutor.h"
+#include "parallel/Scheduler.h"
 #include "programs/Benchmarks.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <tuple>
+#include <string>
 #include <vector>
 
 using namespace shackle;
@@ -40,80 +38,27 @@ ParallelPlan buildAtLevel(const Program &P, const ShackleChain &Chain,
   return ParallelPlan::build(P, Chain, std::move(Params), Opts);
 }
 
-/// Runs \p Plan on a fresh copy of \p Init under \p Opts and checks the
-/// result is bitwise-identical to serial execution of the same nest.
-void expectBitwise(const ParallelPlan &Plan, const ProgramInstance &Init,
-                   const ParallelRunOptions &Opts, const char *What) {
-  ProgramInstance Par = Init, Ser = Init;
-  ParallelRunStats Stats = Plan.run(Par, Opts);
-  Plan.runSerial(Ser);
-  EXPECT_FALSE(Stats.Failed) << What;
-  EXPECT_EQ(Stats.Mode, ParallelMode::Parallel) << What;
-  EXPECT_EQ(Stats.Steals, Stats.LocalSteals + Stats.RemoteSteals) << What;
-  EXPECT_TRUE(Par.bitwiseEqual(Ser)) << What << " " << Plan.summary();
-}
-
-/// The locality configurations every kernel is swept through: default
-/// affinity, explicit small domains, cross-domain stealing disabled,
-/// stealing disabled entirely, the round-robin and random-victim
-/// baselines, and the first-touch warming pass.
-std::vector<std::pair<const char *, ParallelRunOptions>>
-localityConfigs(unsigned Threads) {
-  auto Mk = [Threads] {
-    ParallelRunOptions O;
-    O.NumThreads = Threads;
-    return O;
-  };
-  std::vector<std::pair<const char *, ParallelRunOptions>> Cs;
-  Cs.emplace_back("affinity-default", Mk());
-  {
-    ParallelRunOptions O = Mk();
-    O.DomainSize = 2;
-    Cs.emplace_back("domains-of-2", O);
-  }
-  {
-    ParallelRunOptions O = Mk();
-    O.DomainSize = 2;
-    O.StealRemoteAfter = 0; // Local stealing only.
-    Cs.emplace_back("no-remote-steals", O);
-  }
-  {
-    ParallelRunOptions O = Mk();
-    O.DomainSize = 1;
-    O.StealRemoteAfter = 0; // No stealing at all.
-    Cs.emplace_back("no-steals", O);
-  }
-  {
-    ParallelRunOptions O = Mk();
-    O.Placement = TaskPlacement::RoundRobin;
-    Cs.emplace_back("round-robin", O);
-  }
-  {
-    ParallelRunOptions O = Mk();
-    O.RandomSteal = true;
-    O.StealSeed = 7;
-    Cs.emplace_back("random-victims", O);
-  }
-  {
-    ParallelRunOptions O = Mk();
-    O.FirstTouch = true;
-    Cs.emplace_back("first-touch", O);
-  }
-  return Cs;
-}
-
+/// Runs \p Plan on a fresh copy of \p Init at each thread count and checks
+/// the result is bitwise-identical to serial execution of the same nest.
 void sweepKernel(const ParallelPlan &Plan, const ProgramInstance &Init) {
   ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
-  for (unsigned Threads : {1u, 2u, 4u, 8u})
-    for (const auto &[Name, Opts] : localityConfigs(Threads))
-      expectBitwise(Plan, Init, Opts,
-                    (std::string(Name) + " threads=" +
-                     std::to_string(Threads))
-                        .c_str());
+  ProgramInstance Ser = Init;
+  Plan.runSerial(Ser);
+  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
+    ProgramInstance Par = Init;
+    ParallelRunOptions Opts;
+    Opts.NumThreads = Threads;
+    ParallelRunStats Stats = Plan.run(Par, Opts);
+    std::string What = "threads=" + std::to_string(Threads);
+    EXPECT_FALSE(Stats.Failed) << What;
+    EXPECT_EQ(Stats.Mode, ParallelMode::Parallel) << What;
+    EXPECT_EQ(Stats.Steals, Stats.LocalSteals + Stats.RemoteSteals) << What;
+    EXPECT_TRUE(Par.bitwiseEqual(Ser)) << What << " " << Plan.summary();
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Bitwise serial equality under every locality policy
+// Bitwise serial equality at every thread count
 //===----------------------------------------------------------------------===//
 
 TEST(LocalityBitwise, TwoLevelMMMEveryConfigEveryThreadCount) {
@@ -226,74 +171,6 @@ TEST(AffinityMap, DetectDomainSizeIsSane) {
 }
 
 //===----------------------------------------------------------------------===//
-// With stealing disabled, every task runs on its affinity home
-//===----------------------------------------------------------------------===//
-
-using Access = std::tuple<unsigned, int64_t, bool>;
-
-TEST(LocalityPlacement, NoStealTracesMatchHomeRanges) {
-  BenchSpec Spec = makeMatMul();
-  const Program &P = *Spec.Prog;
-  ParallelPlan Plan =
-      buildAtLevel(P, mmmShackleTwoLevel(P, 8, 4), {16}, 2);
-  ASSERT_TRUE(Plan.parallelReady());
-  ProgramInstance Init(P, {16});
-  Init.fillRandom(31, 0.5, 1.5);
-
-  for (unsigned Threads : {2u, 4u}) {
-    AffinityMap Map = Plan.affinityMap(Threads);
-    ASSERT_LE(Map.NumWorkers, Threads);
-
-    // Expected per-home access multisets: serially replay each home's task
-    // range through the interpreter with a private trace.
-    std::vector<std::vector<Access>> Expected(Map.NumWorkers);
-    {
-      ProgramInstance Ser = Init;
-      for (unsigned W = 0; W < Map.NumWorkers; ++W) {
-        TraceFn Trace = [&Expected, W](unsigned ArrayId, int64_t Off,
-                                       bool IsWrite) {
-          Expected[W].emplace_back(ArrayId, Off, IsWrite);
-        };
-        for (uint32_t T = Map.RangeBegin[W]; T < Map.RangeBegin[W + 1]; ++T)
-          for (const BlockTask::Segment &Seg :
-               Plan.partition().Tasks[T].Segments)
-            runLoopNestSubtree(Plan.nest(), *Seg.Node, Seg.DimValues, Ser,
-                               &Trace);
-        std::sort(Expected[W].begin(), Expected[W].end());
-      }
-    }
-
-    // Parallel run with stealing disabled: tasks may only reach their home
-    // worker's deque or mailbox, so worker W's trace must be exactly its
-    // range's accesses (as a multiset - W interleaves its own tasks
-    // freely as dependences release them).
-    std::vector<std::vector<Access>> Got(Map.NumWorkers);
-    std::vector<TraceFn> Sinks;
-    for (unsigned W = 0; W < Map.NumWorkers; ++W)
-      Sinks.push_back([&Got, W](unsigned ArrayId, int64_t Off, bool IsWrite) {
-        Got[W].emplace_back(ArrayId, Off, IsWrite);
-      });
-    ProgramInstance Par = Init;
-    ParallelRunOptions Opts;
-    Opts.NumThreads = Threads;
-    Opts.DomainSize = 1;
-    Opts.StealRemoteAfter = 0;
-    Opts.WorkerTraces = &Sinks;
-    ParallelRunStats Stats = Plan.run(Par, Opts);
-    ASSERT_FALSE(Stats.Failed);
-    ASSERT_EQ(Stats.Mode, ParallelMode::Parallel);
-    EXPECT_EQ(Stats.Steals, 0u) << "stealing was disabled";
-    EXPECT_EQ(Stats.HomeHits, Stats.BlocksRun)
-        << "every task must run at home when nothing can steal";
-    for (unsigned W = 0; W < Map.NumWorkers; ++W) {
-      std::sort(Got[W].begin(), Got[W].end());
-      EXPECT_EQ(Got[W], Expected[W]) << "worker " << W << " threads="
-                                     << Threads;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Steal telemetry consistency
 //===----------------------------------------------------------------------===//
 
@@ -306,14 +183,16 @@ TEST(LocalityTelemetry, DomainSplitAndStealDecomposition) {
   ProgramInstance Init(P, {16});
   Init.fillRandom(13, 0.5, 1.5);
 
+  // Four workers split into detectDomainSize-wide domains (one domain on a
+  // single-node machine); the split reported must tile the pool.
   ProgramInstance Inst = Init;
   ParallelRunOptions Opts;
   Opts.NumThreads = 4;
-  Opts.DomainSize = 2;
   ParallelRunStats Stats = Plan.run(Inst, Opts);
   ASSERT_FALSE(Stats.Failed);
-  EXPECT_EQ(Stats.DomainSize, 2u);
-  EXPECT_EQ(Stats.NumDomains, 2u);
+  EXPECT_EQ(Stats.DomainSize, detectDomainSize(Stats.ThreadsUsed));
+  EXPECT_EQ(Stats.NumDomains,
+            (Stats.ThreadsUsed + Stats.DomainSize - 1) / Stats.DomainSize);
   EXPECT_EQ(Stats.Steals, Stats.LocalSteals + Stats.RemoteSteals);
   EXPECT_LE(Stats.HomeHits, Stats.BlocksRun);
 
@@ -328,34 +207,31 @@ TEST(LocalityTelemetry, DomainSplitAndStealDecomposition) {
   EXPECT_EQ(SoloStats.BytesMigrated, 0u);
 }
 
-TEST(LocalityTelemetry, FirstTouchReadsEveryFootprintOnce) {
-  BenchSpec Spec = makeMatMul();
-  const Program &P = *Spec.Prog;
-  ParallelPlan Plan =
-      buildAtLevel(P, mmmShackleTwoLevel(P, 8, 4), {16}, 2);
-  ASSERT_TRUE(Plan.parallelReady());
-  ProgramInstance Init(P, {16});
-  Init.fillRandom(17, 0.5, 1.5);
-
-  ProgramInstance Inst = Init;
-  ParallelRunOptions Opts;
+TEST(LocalityTelemetry, SchedulerDomainSplitAndStealDecomposition) {
+  // Two domains of two workers over an affinity-homed DAG of 8 independent
+  // chains of 8 tasks. A single-node machine never splits the executor's
+  // pool, so the split is driven through the scheduler directly.
+  const std::size_t N = 64;
+  std::vector<std::vector<uint32_t>> Succs(N);
+  std::vector<uint32_t> InDeg(N, 0);
+  for (uint32_t T = 0; T + 8 < N; ++T) {
+    Succs[T].push_back(T + 8);
+    ++InDeg[T + 8];
+  }
+  AffinityMap Map = buildAffinityMap(N, {}, 4);
+  DagRunOptions Opts;
   Opts.NumThreads = 4;
-  Opts.FirstTouch = true;
-  ParallelRunStats Stats = Plan.run(Inst, Opts);
-  ASSERT_FALSE(Stats.Failed);
-  EXPECT_GT(Stats.FirstTouchElems, 0u);
-
-  // The warming pass is read-only: results stay bitwise-identical.
-  ProgramInstance Ser = Init;
-  Plan.runSerial(Ser);
-  EXPECT_TRUE(Inst.bitwiseEqual(Ser));
-
-  // Round-robin placement has no home ranges to warm.
-  ProgramInstance RR = Init;
-  Opts.Placement = TaskPlacement::RoundRobin;
-  ParallelRunStats RRStats = Plan.run(RR, Opts);
-  EXPECT_EQ(RRStats.FirstTouchElems, 0u);
-  EXPECT_EQ(RRStats.HomeHits, 0u) << "no affinity map, no home hits";
+  Opts.DomainSize = 2;
+  Opts.Affinity = &Map.Home;
+  DagRunResult R = runTaskDagPartial(N, Succs, InDeg, Opts,
+                                     [](uint32_t, unsigned) { return true; });
+  ASSERT_FALSE(R.Refused);
+  EXPECT_TRUE(R.Completed);
+  EXPECT_EQ(R.Stats.DomainSizeUsed, 2u);
+  EXPECT_EQ(R.Stats.NumDomains, 2u);
+  EXPECT_EQ(R.Stats.TasksRun, N);
+  EXPECT_EQ(R.Stats.Steals, R.Stats.LocalSteals + R.Stats.RemoteSteals);
+  EXPECT_LE(R.Stats.HomeHits, R.Stats.TasksRun);
 }
 
 } // namespace

@@ -41,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,9 +73,7 @@ int usage() {
       "  run       <config> --params=N[,..] [--threads=N]\n"
       "      [--task-level=K|auto] [--verify] [--plan-cache=PATH]\n"
       "      [--max-retries=N] [--deadline-ms=N] [--stall-ms=N]\n"
-      "      [--placement=affinity|round-robin] [--domain-size=N]\n"
-      "      [--steal-remote-after=K] [--random-steal] [--steal-seed=S]\n"
-      "      [--first-touch] [--inject=SPEC] [--perf]\n"
+      "      [--inject=SPEC] [--perf]\n"
       "      [--verify-data=off|undo|block] [--paranoia]\n"
       "      [--native=off|task] [--native-cxx=PATH]\n"
       "      [--native-microblas=on|off] [--native-simd=off|avx2|avx512|auto]\n"
@@ -236,6 +235,39 @@ bool armInjector(const std::string &Spec) {
   return S.ok();
 }
 
+/// The flags each command reads, as usage() documents them (the common
+/// flags and the program-source flags are added by unknownFlag); null for
+/// an unknown command.
+const std::vector<std::string> *commandFlags(const std::string &Cmd) {
+  static const std::map<std::string, std::vector<std::string>> Flags = {
+      {"list", {}},
+      {"census", {}},
+      {"print", {}},
+      {"deps", {}},
+      {"auto", {"eval"}},
+      {"legality", {}},
+      {"codegen", {"naive"}},
+      {"emit", {"name"}},
+      {"simulate", {"params"}},
+      {"multipass", {"params"}},
+      {"run",
+       {"params", "threads", "task-level", "verify", "plan-cache",
+        "max-retries", "deadline-ms", "stall-ms", "inject", "perf",
+        "verify-data", "paranoia", "native", "native-cxx",
+        "native-microblas", "native-simd"}},
+      {"serve",
+       {"socket", "snapshot", "cache-bytes", "threads", "max-inflight",
+        "queue-depth", "request-deadline-ms", "max-line-bytes",
+        "idle-timeout-ms", "max-connections", "snapshot-interval-s",
+        "inject"}},
+      {"request",
+       {"socket", "json", "timeout-ms", "max-retries", "backoff-base-ms",
+        "backoff-max-ms", "retry-seed", "inject"}},
+  };
+  auto It = Flags.find(Cmd);
+  return It == Flags.end() ? nullptr : &It->second;
+}
+
 /// The actions that need a shackle chain (and so a registry config or a
 /// DSL --array); print, deps, and auto work on the program alone.
 bool needsChain(const std::string &Action) {
@@ -383,16 +415,6 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
   // injected worker stall or death degrades instead of hanging the run.
   RunOpts.StallTimeoutMs = InjectSpec.empty() ? 0 : 250;
   setFlag(Argc, Argv, "stall-ms", 0, RunOpts.StallTimeoutMs);
-  std::string Placement = flagString(Argc, Argv, "placement", "affinity");
-  if (Placement == "round-robin")
-    RunOpts.Placement = TaskPlacement::RoundRobin;
-  else if (Placement != "affinity")
-    return badFlag("--placement", "'affinity' or 'round-robin'", Placement);
-  setFlag(Argc, Argv, "domain-size", 0, RunOpts.DomainSize);
-  setFlag(Argc, Argv, "steal-remote-after", 0, RunOpts.StealRemoteAfter);
-  RunOpts.RandomSteal = hasFlag(Argc, Argv, "random-steal");
-  setFlag(Argc, Argv, "steal-seed", 0, RunOpts.StealSeed);
-  RunOpts.FirstTouch = hasFlag(Argc, Argv, "first-touch");
   std::string VerifyData = flagString(Argc, Argv, "verify-data", "undo");
   if (VerifyData == "off")
     RunOpts.VerifyData = DataVerify::Off;
@@ -516,14 +538,11 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
                                static_cast<double>(Stats.BlocksRun);
     std::printf("locality: domains=%u (x%u workers) home-hits=%llu "
                 "(%.1f%%) local-steals=%llu remote-steals=%llu "
-                "mailbox=%llu (+%llu fallback) bytes-migrated=%llu",
+                "mailbox=%llu (+%llu fallback) bytes-migrated=%llu\n",
                 Stats.NumDomains, Stats.DomainSize, ull(Stats.HomeHits),
                 HomePct, ull(Stats.LocalSteals), ull(Stats.RemoteSteals),
                 ull(Stats.MailboxPushes), ull(Stats.MailboxFallbacks),
                 ull(Stats.BytesMigrated));
-    if (RunOpts.FirstTouch)
-      std::printf(" first-touch-elems=%llu", ull(Stats.FirstTouchElems));
-    std::printf("\n");
   }
   if (Req.Native && Res.Native) {
     const NativeJitStats &NS = Res.Native->stats();
@@ -660,6 +679,28 @@ int cmdProgram(const std::string &Action, ProgramSource Src,
   return cmdRun(R, Params, Argc, Argv);
 }
 
+/// The first `--name[=value]` argument whose name \p Action does not read,
+/// as `--name`, or empty. Program actions also take the source flags of
+/// their form (`--block`, plus `--array`, `--order` and `--reversed` for a
+/// DSL file).
+std::string unknownFlag(const std::string &Action, bool Dsl, int Argc,
+                        char **Argv) {
+  std::vector<std::string> Known = *commandFlags(Action);
+  Known.insert(Known.end(), {"solver-budget", "strict"});
+  if (isProgramAction(Action))
+    Known.push_back("block");
+  if (Dsl)
+    Known.insert(Known.end(), {"array", "order", "reversed"});
+  for (int I = 2; I < Argc; ++I) {
+    if (std::strncmp(Argv[I], "--", 2) != 0)
+      continue;
+    std::string Name(Argv[I] + 2, std::strcspn(Argv[I] + 2, "="));
+    if (std::find(Known.begin(), Known.end(), Name) == Known.end())
+      return "--" + Name;
+  }
+  return "";
+}
+
 /// Reads \p Path into \p Out; false when the file cannot be opened.
 bool readFile(const char *Path, std::string &Out) {
   std::ifstream In(Path, std::ios::binary);
@@ -776,7 +817,27 @@ int cmdRequest(int Argc, char **Argv) {
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
+  // shackle file <path> <action> | shackle <action> <benchmark> [<config>]
   std::string Cmd = Argv[1];
+  const bool Dsl = Cmd == "file";
+  std::string Action = Cmd;
+  if (Dsl) {
+    if (Argc < 4 || !isProgramAction(Argv[3]))
+      return usage();
+    Action = Argv[3];
+  } else if (isProgramAction(Cmd) &&
+             (Argc < 3 || (needsChain(Cmd) && Argc < 4))) {
+    return usage();
+  }
+  if (!commandFlags(Action))
+    return usage();
+  std::string Unknown = unknownFlag(Action, Dsl, Argc, Argv);
+  if (!Unknown.empty()) {
+    std::fprintf(stderr, "error: [usage-error] unknown flag '%s' for '%s'\n",
+                 Unknown.c_str(), Action.c_str());
+    return 1;
+  }
+
   if (Cmd == "list")
     return cmdList();
   if (Cmd == "census")
@@ -786,12 +847,9 @@ int main(int Argc, char **Argv) {
   if (Cmd == "request")
     return cmdRequest(Argc, Argv);
 
-  // shackle file <path> <action> | shackle <action> <benchmark> [<config>]
   ProgramSource Src;
   Src.Blocks = paramList(Argc, Argv, "block");
-  if (Cmd == "file") {
-    if (Argc < 4 || !isProgramAction(Argv[3]))
-      return usage();
+  if (Dsl) {
     std::string Text;
     if (!readFile(Argv[2], Text))
       return reportError(Argv[2],
@@ -800,10 +858,8 @@ int main(int Argc, char **Argv) {
     Src.Array = flagString(Argc, Argv, "array");
     Src.ColBlocks = hasFlag(Argc, Argv, "order=colblocks");
     Src.Reversed = hasFlag(Argc, Argv, "reversed");
-    return cmdProgram(Argv[3], std::move(Src), Argv[2], Argc, Argv);
+    return cmdProgram(Action, std::move(Src), Argv[2], Argc, Argv);
   }
-  if (Argc < 3 || !isProgramAction(Cmd) || (needsChain(Cmd) && Argc < 4))
-    return usage();
   Src.Benchmark = Argv[2];
   if (needsChain(Cmd))
     Src.Config = Argv[3];
