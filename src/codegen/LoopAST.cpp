@@ -54,6 +54,30 @@ ASTNodePtr ASTNode::makeLet(unsigned Dim, BoundExpr Value) {
   return N;
 }
 
+AffineExpr shackle::mapToScan(const AffineExpr &E, const Stmt &S,
+                              const std::vector<unsigned> &VarMap,
+                              unsigned NumDims, unsigned NumParams) {
+  AffineExpr R = AffineExpr::constant(NumDims, E.getConstant());
+  for (unsigned V = 0; V < E.getNumVars(); ++V) {
+    int64_t C = E.getCoeff(V);
+    if (C == 0)
+      continue;
+    unsigned Scan = NumDims; // invalid
+    if (V < NumParams) {
+      Scan = V;
+    } else {
+      for (unsigned K = 0; K < S.LoopVars.size(); ++K)
+        if (S.LoopVars[K] == V) {
+          Scan = VarMap[K];
+          break;
+        }
+    }
+    assert(Scan < NumDims && "statement variable outside the scan space");
+    R.setCoeff(Scan, R.getCoeff(Scan) + C);
+  }
+  return R;
+}
+
 std::string shackle::condStr(const ConstraintRow &Row,
                              const std::vector<std::string> &Names,
                              bool IsEq) {

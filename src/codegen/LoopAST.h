@@ -92,6 +92,14 @@ struct LoopNest {
   unsigned loopDepth() const;
 };
 
+/// Rewrites a statement-space affine expression (over program variables)
+/// into scanning-dimension space: parameters occupy the leading scanning
+/// dimensions one-to-one, and the statement's loop variables map through
+/// an Instance node's VarMap.
+AffineExpr mapToScan(const AffineExpr &E, const Stmt &S,
+                     const std::vector<unsigned> &VarMap, unsigned NumDims,
+                     unsigned NumParams);
+
 /// Renders an affine condition row over dimension names, e.g.
 /// "t1 - 2*t3 + 4 >= 0".
 std::string condStr(const ConstraintRow &Row,

@@ -209,34 +209,6 @@ struct GemmMatch {
   std::string ILb, IUb, JLb, JUb, KLb, KUb;
 };
 
-/// Rewrites a statement-space affine expression (over program variables)
-/// into scanning-dimension space: parameters occupy the leading scanning
-/// dimensions one-to-one, and the statement's loop variables map through
-/// VarMap.
-AffineExpr mapToScan(const AffineExpr &E, const Stmt &S,
-                     const std::vector<unsigned> &VarMap, unsigned NumDims,
-                     unsigned NumParams) {
-  AffineExpr R = AffineExpr::constant(NumDims, E.getConstant());
-  for (unsigned V = 0; V < E.getNumVars(); ++V) {
-    int64_t C = E.getCoeff(V);
-    if (C == 0)
-      continue;
-    unsigned Scan = NumDims; // invalid
-    if (V < NumParams) {
-      Scan = V;
-    } else {
-      for (unsigned K = 0; K < S.LoopVars.size(); ++K)
-        if (S.LoopVars[K] == V) {
-          Scan = VarMap[K];
-          break;
-        }
-    }
-    assert(Scan < NumDims && "statement variable outside the scan space");
-    R.setCoeff(Scan, R.getCoeff(Scan) + C);
-  }
-  return R;
-}
-
 /// True when any index of \p R depends on scanning dimension \p Dim.
 bool refDependsOn(const ArrayRef &R, const Stmt &S,
                   const std::vector<unsigned> &VarMap, unsigned NumDims,
@@ -694,129 +666,6 @@ void emitNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
   }
 }
 
-/// True when, in writes-enumeration mode, the stores emitted by the
-/// subtree rooted at \p N depend on scanning dimension \p Dim: store
-/// addresses and guards count; RHS values never do (they are not emitted
-/// in that mode). A \p Dim occurring only in an inner loop's bounds (or a
-/// let's value) matters only transitively — when that loop's own variable
-/// reaches an address or guard below. Otherwise \p Dim merely shifts a
-/// range whose every non-empty position emits the same set, which the
-/// emitter's first-emission collapse handles exactly.
-bool writesUseDim(const ASTNode &N, const LoopNest &Nest, unsigned Dim) {
-  switch (N.Kind) {
-  case ASTKind::Loop: {
-    bool BoundsUse = false;
-    for (const std::vector<BoundExpr> *Side : {&N.Lbs, &N.Ubs})
-      for (const BoundExpr &B : *Side)
-        if (B.Expr.getCoeff(Dim) != 0)
-          BoundsUse = true;
-    if (BoundsUse)
-      for (const ASTNodePtr &C : N.Body)
-        if (writesUseDim(*C, Nest, N.Dim))
-          return true;
-    break;
-  }
-  case ASTKind::Let:
-    if (N.Lbs[0].Expr.getCoeff(Dim) != 0)
-      for (const ASTNodePtr &C : N.Body)
-        if (writesUseDim(*C, Nest, N.Dim))
-          return true;
-    break;
-  case ASTKind::If:
-    for (const std::vector<ConstraintRow> *Conds : {&N.EqConds, &N.IneqConds})
-      for (const ConstraintRow &Row : *Conds)
-        if (Row[Dim] != 0)
-          return true;
-    break;
-  case ASTKind::Instance:
-    for (const AffineExpr &I : N.S->LHS.Indices)
-      if (mapToScan(I, *N.S, N.VarMap, Nest.NumDims, Nest.NumParams)
-              .getCoeff(Dim) != 0)
-        return true;
-    return false;
-  }
-  for (const ASTNodePtr &C : N.Body)
-    if (writesUseDim(*C, Nest, Dim))
-      return true;
-  return false;
-}
-
-/// The writes-enumeration twin of emitNode: identical control structure,
-/// but Instance nodes report their store's (array, offset) to the sink
-/// (counting each report in _shk_e) instead of executing, and loops whose
-/// emitted addresses never read their dimension (reduction loops — every
-/// non-empty iteration stores the same set) stop after the first iteration
-/// that emits anything. Iterating to the first emission (rather than a
-/// range guard) keeps the footprint exact when inner bounds shift with the
-/// dimension: a strip-mined reduction's element range may be empty for
-/// some tiles and not others, but every emitting tile emits the same set.
-void emitWritesNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
-                    Writer &W) {
-  const std::vector<std::string> &Dims = Nest.DimNames;
-  switch (N.Kind) {
-  case ASTKind::Loop: {
-    const std::string V = Dims[N.Dim];
-    bool Invariant = true;
-    for (const ASTNodePtr &C : N.Body)
-      if (writesUseDim(*C, Nest, N.Dim)) {
-        Invariant = false;
-        break;
-      }
-    W.line("for (int64_t " + V + " = " + cBoundList(N.Lbs, Dims, true) +
-           ", " + V + "_ub = " + cBoundList(N.Ubs, Dims, false) + "; " + V +
-           " <= " + V + "_ub; ++" + V + ") {");
-    W.indent();
-    if (Invariant)
-      W.line("const int64_t _shk_m_" + V + " = _shk_e;");
-    for (const ASTNodePtr &C : N.Body)
-      emitWritesNode(*C, Nest, SE, W);
-    if (Invariant)
-      W.line("if (_shk_e != _shk_m_" + V + ") break;");
-    W.dedent();
-    W.line("}");
-    return;
-  }
-  case ASTKind::Let: {
-    W.line("{");
-    W.indent();
-    W.line("const int64_t " + Dims[N.Dim] + " = " + cBound(N.Lbs[0], Dims) +
-           ";");
-    W.line("(void)" + Dims[N.Dim] + ";");
-    for (const ASTNodePtr &C : N.Body)
-      emitWritesNode(*C, Nest, SE, W);
-    W.dedent();
-    W.line("}");
-    return;
-  }
-  case ASTKind::If: {
-    std::string Cond;
-    for (const ConstraintRow &Row : N.EqConds) {
-      if (!Cond.empty())
-        Cond += " && ";
-      Cond += "(" + cRow(Row, Dims) + ") == 0";
-    }
-    for (const ConstraintRow &Row : N.IneqConds) {
-      if (!Cond.empty())
-        Cond += " && ";
-      Cond += "(" + cRow(Row, Dims) + ") >= 0";
-    }
-    W.line("if (" + Cond + ") {");
-    W.indent();
-    for (const ASTNodePtr &C : N.Body)
-      emitWritesNode(*C, Nest, SE, W);
-    W.dedent();
-    W.line("}");
-    return;
-  }
-  case ASTKind::Instance: {
-    SE.bind(*N.S, N.VarMap);
-    W.line("sink(ctx, " + std::to_string(N.S->LHS.ArrayId) + ", " +
-           SE.offExpr(N.S->LHS) + "); ++_shk_e;");
-    return;
-  }
-  }
-}
-
 } // namespace
 
 std::string shackle::emitKernel(const LoopNest &Nest,
@@ -924,47 +773,6 @@ std::string shackle::emitNativeTaskKernel(
   return W.str();
 }
 
-std::string shackle::emitNativeTaskWritesKernel(
-    const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
-    const std::string &Name) {
-  const Program &P = *Nest.Prog;
-  Writer W;
-  W.line("extern \"C\" void " + Name +
-         "(const int64_t *dims, shackle_native_write_sink sink, "
-         "void *ctx) {");
-  W.indent();
-  // Same flattened-dims protocol as the task kernel, and no array
-  // pointers: the enumerator computes addresses, never touches data.
-  // Emission order is the segment order; sorted and deduplicated, the
-  // reported set encodes to the same footprint runs as the interpreter
-  // walk's.
-  W.line("(void)dims; (void)sink; (void)ctx;");
-  // Emission counter backing the reduction-loop collapse: such a loop
-  // breaks after its first iteration that moves this count.
-  W.line("int64_t _shk_e = 0; (void)_shk_e;");
-
-  StmtEmitter SE(P, Nest.DimNames);
-  const std::string ND = std::to_string(Nest.NumDims);
-  for (const SegRun &R : segmentRuns(Roots)) {
-    W.line("for (int64_t _shk_s = " + std::to_string(R.Base) +
-           "; _shk_s < " + std::to_string(R.Base + R.Count) +
-           "; ++_shk_s) {");
-    W.indent();
-    W.line("const int64_t *_shk_d = dims + _shk_s * " + ND + ";");
-    emitDimBindings(W, Nest, P, "_shk_d");
-    W.line("{");
-    W.indent();
-    emitWritesNode(*R.Root, Nest, SE, W);
-    W.dedent();
-    W.line("}");
-    W.dedent();
-    W.line("}");
-  }
-  W.dedent();
-  W.line("}");
-  return W.str();
-}
-
 std::string shackle::emitNativeTranslationUnit(
     const std::vector<NativeTaskKernelSpec> &Tasks,
     const NativeEmitOptions &Opts, unsigned *GemmRouted) {
@@ -996,8 +804,6 @@ std::string shackle::emitNativeTranslationUnit(
   W.line("               int64_t m, int64_t n, int64_t k,");
   W.line("               int64_t ldc, int64_t lda, int64_t ldb);");
   W.line("};");
-  W.line("typedef void (*shackle_native_write_sink)(void *ctx,");
-  W.line("    int64_t array_id, int64_t offset);");
   W.line("int64_t shackle_native_abi_version() { return 1; }");
   W.line("} // extern \"C\"");
   W.blank();
@@ -1009,8 +815,6 @@ std::string shackle::emitNativeTranslationUnit(
     if (GemmRouted && Kernel.find("hooks->gemm") != std::string::npos)
       ++*GemmRouted;
     W.raw(Kernel);
-    W.blank();
-    W.raw(emitNativeTaskWritesKernel(*T.Nest, T.Roots, T.Name + "_writes"));
     W.blank();
   }
   return W.str();

@@ -17,7 +17,8 @@
 /// column-major, or LAPACK band storage). The dsc-gen tool calls
 /// emitTranslationUnit at build time; the result is compiled into the bench
 /// binaries. The native tier (DESIGN.md §15) instead emits one kernel per
-/// block task through emitNativeTranslationUnit, compiled at plan time.
+/// block task through emitNativeTranslationUnit, compiled at plan time;
+/// those kernels are all its unit holds (undo footprints are the plan's).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,27 +80,9 @@ std::string emitNativeTaskKernel(const LoopNest &Nest,
                                  const std::string &Name,
                                  const NativeEmitOptions &Opts);
 
-/// Emits the write-footprint enumerator companion of a native task kernel:
-///
-///   extern "C" void <name>(const int64_t *dims,
-///                          shackle_native_write_sink sink, void *ctx);
-///
-/// It walks the same loop structure as the kernel but, instead of executing
-/// stores, reports each one as sink(ctx, array_id, offset), segment by
-/// segment in order. Loops whose subtree is address-invariant in their
-/// dimension (classically the gemm reduction loop) collapse to one guarded
-/// iteration, so enumeration costs O(footprint), not O(instances). The
-/// executor snapshots undo logs through this instead of the interpreter's
-/// write sink when a module provides it.
-std::string
-emitNativeTaskWritesKernel(const LoopNest &Nest,
-                           const std::vector<const ASTNode *> &Roots,
-                           const std::string &Name);
-
 /// Emits a complete native translation unit: includes, division helpers,
-/// the shackle_native_hooks struct definition, and every task kernel, each
-/// followed by its <name>_writes footprint enumerator. Each symbol is
-/// resolved individually via dlsym; there is no registry. When
+/// the shackle_native_hooks struct definition, and every task kernel. Each
+/// symbol is resolved individually via dlsym; there is no registry. When
 /// \p GemmRouted is non-null it receives the number of kernels whose text
 /// contains a hooks->gemm call site.
 std::string

@@ -16,7 +16,7 @@
 
 using namespace shackle;
 
-ProgramInstance::ProgramInstance(const Program &P,
+ArrayAddressing::ArrayAddressing(const Program &P,
                                  std::vector<int64_t> Params)
     : Prog(&P), ParamValues(std::move(Params)) {
   assert(ParamValues.size() == P.getNumParams() &&
@@ -53,12 +53,19 @@ ProgramInstance::ProgramInstance(const Program &P,
       break;
     }
     }
-    Buffers.emplace_back(static_cast<size_t>(Size), 0.0);
+    Sizes.push_back(Size);
     Extents.push_back(std::move(Ext));
   }
 }
 
-int64_t ProgramInstance::offset(unsigned ArrayId, const int64_t *Idx) const {
+ProgramInstance::ProgramInstance(const Program &P,
+                                 std::vector<int64_t> Params)
+    : ArrayAddressing(P, std::move(Params)) {
+  for (unsigned Id = 0; Id < P.getNumArrays(); ++Id)
+    Buffers.emplace_back(static_cast<size_t>(size(Id)), 0.0);
+}
+
+int64_t ArrayAddressing::offset(unsigned ArrayId, const int64_t *Idx) const {
   const ArrayDecl &A = Prog->getArray(ArrayId);
   const std::vector<int64_t> &Ext = Extents[ArrayId];
   switch (A.Layout) {
@@ -182,32 +189,33 @@ double evalScalarIn(ProgramInstance &Inst, const ScalarExpr *E,
 
 class Executor {
 public:
-  Executor(const LoopNest &Nest, ProgramInstance &Inst, const TraceFn *Trace,
-           bool CountOnly)
-      : Nest(Nest), Inst(Inst), Trace(Trace), CountOnly(CountOnly),
+  /// Whole-nest execution; a null \p Inst only counts instances.
+  Executor(const LoopNest &Nest, const ArrayAddressing &Addr,
+           ProgramInstance *Inst, const TraceFn *Trace)
+      : Nest(Nest), Addr(Addr), Inst(Inst), Trace(Trace),
         DimValues(Nest.NumDims, 0),
         StmtVarValues(Nest.Prog->getNumVars(), 0) {
     for (unsigned V = 0; V < Nest.NumParams; ++V) {
-      DimValues[V] = Inst.paramValue(V);
-      StmtVarValues[V] = Inst.paramValue(V);
+      DimValues[V] = Addr.paramValue(V);
+      StmtVarValues[V] = Addr.paramValue(V);
     }
   }
 
   /// Subtree execution: start from caller-provided dimension values (the
   /// dims bound above the subtree; the rest are scratch). When \p Writes is
   /// non-null the walk is a dry run that only reports each instance's store
-  /// address (undo-log capture); the instance storage is never touched.
-  Executor(const LoopNest &Nest, ProgramInstance &Inst, const TraceFn *Trace,
+  /// address and \p Inst may be null: no storage is touched.
+  Executor(const LoopNest &Nest, const ArrayAddressing &Addr,
+           ProgramInstance *Inst, const TraceFn *Trace,
            std::vector<int64_t> InitialDimValues,
            const WriteSink *Writes = nullptr,
            const StoreCheckFn *Check = nullptr)
-      : Nest(Nest), Inst(Inst), Trace(Trace), CountOnly(false),
-        Writes(Writes), Check(Check),
-        DimValues(std::move(InitialDimValues)),
+      : Nest(Nest), Addr(Addr), Inst(Inst), Trace(Trace), Writes(Writes),
+        Check(Check), DimValues(std::move(InitialDimValues)),
         StmtVarValues(Nest.Prog->getNumVars(), 0) {
     assert(DimValues.size() == Nest.NumDims && "one value per dimension");
     for (unsigned V = 0; V < Nest.NumParams; ++V)
-      StmtVarValues[V] = Inst.paramValue(V);
+      StmtVarValues[V] = Addr.paramValue(V);
   }
 
   void run() {
@@ -253,7 +261,7 @@ private:
       int64_t Off = refOffset(E->getRef());
       if (Trace)
         (*Trace)(E->getRef().ArrayId, Off, /*IsWrite=*/false);
-      return Inst.buffer(E->getRef().ArrayId)[Off];
+      return Inst->buffer(E->getRef().ArrayId)[Off];
     }
     case ExprKind::Add:
       return evalScalar(E->getLHS()) + evalScalar(E->getRHS());
@@ -276,13 +284,13 @@ private:
     assert(R.Indices.size() <= 8 && "array rank too large");
     for (unsigned D = 0; D < R.Indices.size(); ++D)
       Idx[D] = R.Indices[D].evaluate(StmtVarValues);
-    return Inst.offset(R.ArrayId, Idx);
+    return Addr.offset(R.ArrayId, Idx);
   }
 
   void execInstance(const ASTNode &N) {
     ++Instances;
-    if (CountOnly)
-      return;
+    if (!Inst && !Writes)
+      return; // Counting only.
     const Stmt &S = *N.S;
     for (unsigned K = 0; K < N.VarMap.size(); ++K)
       StmtVarValues[S.LoopVars[K]] = DimValues[N.VarMap[K]];
@@ -294,7 +302,7 @@ private:
     int64_t Off = refOffset(S.LHS);
     if (Trace)
       (*Trace)(S.LHS.ArrayId, Off, /*IsWrite=*/true);
-    Inst.buffer(S.LHS.ArrayId)[Off] = Value;
+    Inst->buffer(S.LHS.ArrayId)[Off] = Value;
     if (Check)
       (*Check)(S.LHS.ArrayId, Off, Value);
   }
@@ -333,9 +341,9 @@ private:
   }
 
   const LoopNest &Nest;
-  ProgramInstance &Inst;
+  const ArrayAddressing &Addr;
+  ProgramInstance *Inst;
   const TraceFn *Trace;
-  bool CountOnly;
   const WriteSink *Writes = nullptr;
   const StoreCheckFn *Check = nullptr;
   uint64_t Instances = 0;
@@ -347,7 +355,7 @@ private:
 
 void shackle::runLoopNest(const LoopNest &Nest, ProgramInstance &Inst,
                           const TraceFn *Trace) {
-  Executor E(Nest, Inst, Trace, /*CountOnly=*/false);
+  Executor E(Nest, Inst, &Inst, Trace);
   E.run();
 }
 
@@ -355,25 +363,21 @@ void shackle::runLoopNestSubtree(const LoopNest &Nest, const ASTNode &Root,
                                  const std::vector<int64_t> &DimValues,
                                  ProgramInstance &Inst, const TraceFn *Trace,
                                  const StoreCheckFn *Check) {
-  Executor E(Nest, Inst, Trace, DimValues, /*Writes=*/nullptr, Check);
+  Executor E(Nest, Inst, &Inst, Trace, DimValues, /*Writes=*/nullptr, Check);
   E.runSubtree(Root);
 }
 
 void shackle::collectSubtreeWrites(const LoopNest &Nest, const ASTNode &Root,
                                    const std::vector<int64_t> &DimValues,
-                                   const ProgramInstance &Inst,
+                                   const ArrayAddressing &Addr,
                                    const WriteSink &Sink) {
-  // The const_cast is sound: with a WriteSink the Executor never touches
-  // the instance's buffers (see execInstance).
-  Executor E(Nest, const_cast<ProgramInstance &>(Inst), nullptr, DimValues,
-             &Sink);
+  Executor E(Nest, Addr, /*Inst=*/nullptr, nullptr, DimValues, &Sink);
   E.runSubtree(Root);
 }
 
 uint64_t shackle::countExecutedInstances(const LoopNest &Nest,
                                          const ProgramInstance &Inst) {
-  Executor E(Nest, const_cast<ProgramInstance &>(Inst), nullptr,
-             /*CountOnly=*/true);
+  Executor E(Nest, Inst, /*Inst=*/nullptr, nullptr);
   E.run();
   return E.instanceCount();
 }

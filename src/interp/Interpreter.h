@@ -28,24 +28,41 @@
 
 namespace shackle {
 
-/// Concrete storage for one run: parameter values and one buffer per array,
-/// addressed through the array's declared layout.
-class ProgramInstance {
+/// Logical-to-physical element addressing of a program's arrays at concrete
+/// parameter values: the one place array layouts are interpreted. It never
+/// touches storage, so write footprints can be computed from it alone.
+class ArrayAddressing {
 public:
-  ProgramInstance(const Program &P, std::vector<int64_t> ParamValues);
+  ArrayAddressing(const Program &P, std::vector<int64_t> ParamValues);
 
   const Program &program() const { return *Prog; }
   int64_t paramValue(unsigned Param) const { return ParamValues[Param]; }
   const std::vector<int64_t> &paramValues() const { return ParamValues; }
 
+  /// Elements of storage array \p ArrayId occupies.
+  int64_t size(unsigned ArrayId) const { return Sizes[ArrayId]; }
+
+  /// Physical element offset of a logical index vector, honoring the
+  /// array's layout (row-major, column-major, band, or tiled storage).
+  int64_t offset(unsigned ArrayId, const int64_t *Idx) const;
+
+private:
+  const Program *Prog;
+  std::vector<int64_t> ParamValues;
+  std::vector<std::vector<int64_t>> Extents; ///< Evaluated logical extents.
+  std::vector<int64_t> Sizes;
+};
+
+/// Concrete storage for one run: one buffer per array, addressed through
+/// the array's declared layout.
+class ProgramInstance : public ArrayAddressing {
+public:
+  ProgramInstance(const Program &P, std::vector<int64_t> ParamValues);
+
   std::vector<double> &buffer(unsigned ArrayId) { return Buffers[ArrayId]; }
   const std::vector<double> &buffer(unsigned ArrayId) const {
     return Buffers[ArrayId];
   }
-
-  /// Physical element offset of a logical index vector, honoring the
-  /// array's layout (row-major, column-major, or band storage).
-  int64_t offset(unsigned ArrayId, const int64_t *Idx) const;
 
   /// Fills every array with deterministic pseudo-random values in [lo, hi].
   void fillRandom(uint64_t Seed, double Lo = 0.0, double Hi = 1.0);
@@ -61,10 +78,7 @@ public:
   bool bitwiseEqual(const ProgramInstance &Other) const;
 
 private:
-  const Program *Prog;
-  std::vector<int64_t> ParamValues;
   std::vector<std::vector<double>> Buffers;
-  std::vector<std::vector<int64_t>> Extents; ///< Evaluated logical extents.
 };
 
 /// Per-access trace callback: array, physical element offset, write flag.
@@ -108,11 +122,11 @@ using WriteSink = std::function<void(unsigned ArrayId, int64_t Offset)>;
 /// statement instance only evaluates its LHS address and reports it to
 /// \p Sink — no loads, no stores, no floating-point work. Well-defined
 /// because control flow (bounds, guards) in LoopAST is affine and therefore
-/// data-independent. The parallel executor snapshots exactly these
-/// elements into a block's undo log before running it.
+/// data-independent. It is the oracle plan footprints are tested against
+/// and their fallback when a projection cannot be certified exact.
 void collectSubtreeWrites(const LoopNest &Nest, const ASTNode &Root,
                           const std::vector<int64_t> &DimValues,
-                          const ProgramInstance &Inst, const WriteSink &Sink);
+                          const ArrayAddressing &Addr, const WriteSink &Sink);
 
 /// Counts the statement instances \p Nest would execute (no array work).
 uint64_t countExecutedInstances(const LoopNest &Nest,

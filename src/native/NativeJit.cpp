@@ -124,10 +124,6 @@ NativeKernelFn NativeModule::taskFnFor(uint32_t TaskId) const {
   return TaskId < TaskFns.size() ? TaskFns[TaskId] : nullptr;
 }
 
-NativeWritesFn NativeModule::taskWritesFor(uint32_t TaskId) const {
-  return TaskId < TaskWFns.size() ? TaskWFns[TaskId] : nullptr;
-}
-
 std::shared_ptr<NativeModule>
 NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
                       const NativeJitOptions &Opts,
@@ -262,7 +258,6 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
     return nullptr;
   }
   std::vector<NativeKernelFn> Fns(Specs.size(), nullptr);
-  std::vector<NativeWritesFn> WFns(Specs.size(), nullptr);
   for (std::size_t I = 0; I < Specs.size(); ++I) {
     std::string Sym = Specs[I].Name;
     if (injectNativeDlsymFail())
@@ -273,20 +268,11 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
       return nullptr;
     }
     Fns[I] = reinterpret_cast<NativeKernelFn>(P);
-    // The write-footprint enumerator companion is additive ABI: when it
-    // does not resolve, undo capture falls back to the interpreter walk —
-    // slower, never wrong — so its absence is not a module failure.
-    if (void *WP = dlsym(M->Handle, (Specs[I].Name + "_writes").c_str()))
-      WFns[I] = reinterpret_cast<NativeWritesFn>(WP);
   }
   M->TaskFns.assign(SpecIdx.size(), nullptr);
-  M->TaskWFns.assign(SpecIdx.size(), nullptr);
-  for (std::size_t T = 0; T < SpecIdx.size(); ++T) {
-    if (SpecIdx[T] < 0)
-      continue;
-    M->TaskFns[T] = Fns[static_cast<std::size_t>(SpecIdx[T])];
-    M->TaskWFns[T] = WFns[static_cast<std::size_t>(SpecIdx[T])];
-  }
+  for (std::size_t T = 0; T < SpecIdx.size(); ++T)
+    if (SpecIdx[T] >= 0)
+      M->TaskFns[T] = Fns[static_cast<std::size_t>(SpecIdx[T])];
   M->Stats.LoadMs = msSince(T0);
 
   // The selected kernel's signature IS the hook ABI; no wrapper needed.

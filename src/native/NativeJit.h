@@ -12,7 +12,8 @@
 /// system compiler, and dlopen'd; the scheduler then makes one call per
 /// task, looked up by task id, instead of walking the LoopAST, with
 /// innermost dense triple loops routed through the MicroBlas register
-/// kernels behind runtime shape guards.
+/// kernels behind runtime shape guards. A module holds kernels only: undo
+/// capture reads the plan's footprints (parallel/BlockPartition.h).
 ///
 /// Every step can fail — no compiler on the machine, cc exiting non-zero,
 /// dlopen/dlsym errors, ABI drift — and every failure lands on the same
@@ -100,11 +101,11 @@ struct NativeJitStats {
 /// on immutable tables).
 class NativeModule : public NativeDispatch {
 public:
-  /// Emits, compiles, and loads one kernel (and its `_writes` footprint
-  /// enumerator) per distinct segment-root sequence among the tasks of
-  /// \p Part, a partition of \p Nest. On any failure appends one
-  /// [native-fallback] warning to \p Diags and returns null — the caller's
-  /// fallback tier is the interpreter, so a null module is always safe.
+  /// Emits, compiles, and loads one kernel per distinct segment-root
+  /// sequence among the tasks of \p Part, a partition of \p Nest. On any
+  /// failure appends one [native-fallback] warning to \p Diags and returns
+  /// null — the caller's fallback tier is the interpreter, so a null module
+  /// is always safe.
   static std::shared_ptr<NativeModule>
   compile(const LoopNest &Nest, const BlockPartition &Part,
           const NativeJitOptions &Opts, std::vector<Diagnostic> &Diags);
@@ -124,7 +125,6 @@ public:
   NativeModule &operator=(const NativeModule &) = delete;
 
   NativeKernelFn taskFnFor(uint32_t TaskId) const override;
-  NativeWritesFn taskWritesFor(uint32_t TaskId) const override;
   const NativeHooks &hooks() const override { return Hooks; }
 
   const NativeJitStats &stats() const { return Stats; }
@@ -142,7 +142,6 @@ private:
   NativeHooks Hooks;
   /// Tables indexed by task id (null for tasks without segments).
   std::vector<NativeKernelFn> TaskFns;
-  std::vector<NativeWritesFn> TaskWFns;
   NativeJitStats Stats;
   std::string Dir, SrcPath, SoPath, LogPath;
   bool Keep = false;

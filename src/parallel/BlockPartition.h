@@ -26,9 +26,17 @@
 /// The walk is purely structural: it never executes statements and never
 /// touches array storage, so the resulting partition is immutable shared
 /// input for any number of concurrent workers (each worker re-executes a
-/// segment through its own interpreter state). The one thing a task learns
-/// later is its write footprint, which undo capture memoizes in the task
-/// (FootprintMemo) so that it is enumerated once per plan, not once per run.
+/// segment through its own interpreter state).
+///
+/// A block is a fixed piece of data (Definition 1), so a task's write
+/// footprint is a polyhedron: each store's image over the task's iteration
+/// set. computeFootprints projects every store under a segment root once —
+/// path constraints plus a_p = index_p, the root's dims eliminated by
+/// certified-exact Fourier-Motzkin, the dims bound outside kept symbolic —
+/// so per task it only evaluates row bounds, emitting (array, offset,
+/// length) runs along the array's contiguous axis. An uncertified task
+/// falls back to the interpreter's write walk, the oracle footprints are
+/// tested against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,10 +46,9 @@
 #include "codegen/LoopAST.h"
 
 #include <algorithm>
-#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,63 +60,12 @@ struct FootprintRun {
   unsigned ArrayId = 0;
   int64_t Offset = 0;
   int64_t Length = 0;
-  bool operator==(const FootprintRun &) const = default;
+  auto operator<=>(const FootprintRun &) const = default;
 };
 
 /// A write footprint as runs sorted by (array, offset), disjoint and never
 /// adjacent: the run-length encoding of the sorted, deduplicated store set.
 using FootprintRuns = std::vector<FootprintRun>;
-
-/// Plan-lifetime memo of one task's write footprint. The footprint is a
-/// pure function of the nest and the task's segments (parameter values
-/// included), so undo capture (parallel/UndoLog.h) computes it at the
-/// task's first capture and every later run of the plan reuses it. One slot
-/// per enumerator that can produce it, so a capture that must run no
-/// native code never consumes a footprint a compiled enumerator produced.
-///
-/// Concurrent runs of one shared plan fill each slot exactly once (under a
-/// mutex) and read it lock-free afterwards. A copy starts empty.
-class FootprintMemo {
-public:
-  enum Source : unsigned { Native, Interpreter };
-
-  FootprintMemo() = default;
-  FootprintMemo(const FootprintMemo &) noexcept {}
-  FootprintMemo &operator=(const FootprintMemo &) noexcept {
-    for (Slot &S : Slots) {
-      S.Runs.reset();
-      S.Fills.store(0, std::memory_order_relaxed);
-    }
-    return *this;
-  }
-
-  /// The footprint from \p S; the first call computes it with \p Fill.
-  template <typename FillFn>
-  std::shared_ptr<const FootprintRuns> get(Source S, FillFn &&Fill) const {
-    Slot &Sl = Slots[S];
-    if (Sl.Fills.load(std::memory_order_acquire) == 0) {
-      std::lock_guard<std::mutex> Lock(FillM);
-      if (Sl.Fills.load(std::memory_order_relaxed) == 0) {
-        Sl.Runs = std::make_shared<const FootprintRuns>(Fill());
-        Sl.Fills.fetch_add(1, std::memory_order_release);
-      }
-    }
-    return Sl.Runs;
-  }
-
-  /// Times slot \p S was filled: 0 before the first capture, then 1.
-  unsigned fills(Source S) const {
-    return Slots[S].Fills.load(std::memory_order_acquire);
-  }
-
-private:
-  struct Slot {
-    std::shared_ptr<const FootprintRuns> Runs;
-    std::atomic<unsigned> Fills{0};
-  };
-  mutable Slot Slots[2];
-  mutable std::mutex FillM;
-};
 
 /// One schedulable unit: all instances the shackle ties to one block.
 struct BlockTask {
@@ -127,8 +83,9 @@ struct BlockTask {
   };
   std::vector<Segment> Segments;
 
-  /// The task's write footprint, filled at its first undo capture.
-  FootprintMemo Footprint;
+  /// The task's write footprint, set at plan build by computeFootprints
+  /// (null before; immutable and shared by every run of the plan).
+  std::shared_ptr<const FootprintRuns> Footprint;
 };
 
 struct BlockPartition {
@@ -180,6 +137,20 @@ BlockPartition partitionLoopNestByBlocks(const LoopNest &Nest,
                                          unsigned NumBlockDims,
                                          const std::vector<int64_t> &ParamValues,
                                          uint64_t MaxTasks = 0);
+
+class ArrayAddressing;
+
+/// Sets the Footprint of every task of \p Part (an OK partition of \p Nest)
+/// from the exact projections described in the file comment. Returns the
+/// number of tasks that fell back to the interpreter's write walk because
+/// some projection could not be certified exact.
+unsigned computeFootprints(const LoopNest &Nest, BlockPartition &Part,
+                           const ArrayAddressing &Addr);
+
+/// The write footprint of \p Task by the interpreter's write walk: every
+/// store of every segment, sorted, deduplicated and run-length encoded.
+FootprintRuns walkFootprint(const LoopNest &Nest, const BlockTask &Task,
+                            const ArrayAddressing &Addr);
 
 } // namespace shackle
 

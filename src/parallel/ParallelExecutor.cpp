@@ -123,6 +123,7 @@ ParallelPlan ParallelPlan::build(const Program &P, const ShackleChain &Chain,
     Plan.Diags.push_back(std::move(D));
     return Plan;
   }
+  Plan.attachFootprints();
 
   // Tier 3: the block dependence DAG under the solver budget, over the
   // selected factor prefix's coordinates (inner coordinates projected away
@@ -187,6 +188,8 @@ ParallelPlan ParallelPlan::fromParts(ParallelPlanParts Parts) {
   Plan.Params = std::move(Parts.Params);
   Plan.TaskFactors = Parts.TaskFactors;
   Plan.TotalFactors = Parts.TotalFactors;
+  if (Plan.Partition.OK)
+    Plan.attachFootprints();
   // Recompute readiness with build()'s criteria rather than trusting a
   // persisted flag: a snapshot that deserialized into a non-runnable shape
   // degrades to the serial fallback, never an untrusted parallel schedule.
@@ -194,6 +197,15 @@ ParallelPlan ParallelPlan::fromParts(ParallelPlanParts Parts) {
                !Plan.Graph.EdgeCapHit && !Plan.Graph.WorkCapHit &&
                Plan.Graph.acyclic();
   return Plan;
+}
+
+void ParallelPlan::attachFootprints() {
+  auto Start = std::chrono::steady_clock::now();
+  FootprintFallbacks = computeFootprints(
+      CG.Nest, Partition, ArrayAddressing(*CG.Nest.Prog, Params));
+  FootprintMs = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - Start)
+                    .count();
 }
 
 ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
@@ -445,15 +457,9 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     BlockUndoLog Undo;
     uint64_t UndoSum = 0;
     if (Opts.UndoLog) {
-      // The footprint is the task's plan-lifetime memo, filled at its
-      // first capture by the compiled write enumerator when the native
-      // tier is on (the set is identical to the interpreter walk's —
-      // tested by the native differential battery). With AllowNative off
-      // (oracle reruns, degraded replay) no native code of any kind runs in
-      // the attempt, capture included, and only an interpreter-derived
-      // footprint is used.
-      Undo = captureBlockUndo(CG.Nest, Tasks[T], T, Inst,
-                              AllowNative ? Native : nullptr);
+      // The footprint is the plan's, computed at build: no native code of
+      // any kind runs in the capture.
+      Undo = captureBlockUndo(Tasks[T], Inst);
       if (Verify != DataVerify::Off)
         UndoSum = checksumUndoLog(Undo);
     }

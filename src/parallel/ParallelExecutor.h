@@ -14,7 +14,8 @@
 ///
 ///   1. code generation through the fault-tolerant pipeline (legality under
 ///      a SolverBudget, shackled -> naive -> original tiers);
-///   2. the per-block task list (partitionLoopNestByBlocks);
+///   2. the per-block task list (partitionLoopNestByBlocks) with each
+///      task's exact write footprint (computeFootprints);
 ///   3. the block dependence DAG (buildBlockDepGraph).
 ///
 /// Hierarchical chains (one factor group per memory level, Figure 10) can
@@ -155,18 +156,6 @@ struct NativeHooks {
 using NativeKernelFn = void (*)(double **Arrays, const int64_t *Dims,
                                 const NativeHooks *Hooks);
 
-/// Sink a compiled write-footprint enumerator reports into: one call per
-/// store the task kernel would execute.
-using NativeWriteSinkFn = void (*)(void *Ctx, int64_t ArrayId,
-                                   int64_t Offset);
-
-/// A compiled write-footprint enumerator: the companion of a task kernel
-/// that reports the kernel's store set (reduction loops collapsed) instead
-/// of executing it. Undo-log capture runs this at native speed in place of
-/// the interpreter's write sink when the module provides one.
-using NativeWritesFn = void (*)(const int64_t *Dims, NativeWriteSinkFn Sink,
-                                void *Ctx);
-
 /// The native execution tier's interface to the scheduler. Implemented by
 /// native/NativeJit.h's NativeModule (a dlopen'd shared object of compiled
 /// task kernels); declared here so src/parallel never links src/native.
@@ -181,9 +170,6 @@ public:
   /// interpreter (kernel failed to compile or resolve, or the task has no
   /// segments).
   virtual NativeKernelFn taskFnFor(uint32_t TaskId) const = 0;
-  /// The write-footprint enumerator companion of the task kernel, or null
-  /// when undo capture must fall back to the interpreter walk.
-  virtual NativeWritesFn taskWritesFor(uint32_t TaskId) const = 0;
   /// Helper functions the kernels call back into (shared for the module).
   virtual const NativeHooks &hooks() const = 0;
 };
@@ -229,9 +215,9 @@ struct ParallelRunOptions {
   /// compiled kernel in this module (looked up by task id) dispatches that
   /// one function pointer instead of interpreting its segments. Undo
   /// capture, checksums, rollback, quarantine, and the DAG order are
-  /// unchanged (the undo footprint comes from the task's compiled write
-  /// enumerator, not the interpreter's write sink). Ignored when WorkerTraces is set — native code cannot
-  /// trace, so traced runs interpret everything. The serial-fallback and
+  /// unchanged (the undo footprint is the plan's, computed at build).
+  /// Ignored when WorkerTraces is set — native code cannot trace, so
+  /// traced runs interpret everything. The serial-fallback and
   /// pristine-replay paths always interpret (the interpreter is the
   /// degraded-mode executor). The caller keeps the module alive for the
   /// whole run.
@@ -377,10 +363,15 @@ public:
   unsigned totalFactors() const { return TotalFactors; }
   bool hierarchical() const { return TaskFactors < TotalFactors; }
 
-  /// Plan-construction cost split: the partition walk(s) and the DAG
-  /// build (sign-pattern search + pair scan), in milliseconds.
+  /// Plan-construction cost split: the partition walk(s), the task
+  /// footprints, and the DAG build (sign-pattern search + pair scan), in
+  /// milliseconds.
   double partitionMs() const { return PartitionMs; }
+  double footprintMs() const { return FootprintMs; }
   double dagBuildMs() const { return DagBuildMs; }
+  /// Tasks whose footprint came from the interpreter's write walk because
+  /// a projection could not be certified exact (computeFootprints).
+  unsigned footprintFallbacks() const { return FootprintFallbacks; }
 
   /// Executes the plan on \p Inst (whose parameter values must match) under
   /// \p Opts: undo-logged blocks, rollback-and-retry on failure, watchdog
@@ -410,6 +401,9 @@ public:
   std::string summary() const;
 
 private:
+  /// Sets every task's footprint (computeFootprints) and its cost.
+  void attachFootprints();
+
   CodegenResult CG;
   BlockPartition Partition;
   BlockDepGraph Graph;
@@ -418,7 +412,9 @@ private:
   unsigned TaskFactors = 0;
   unsigned TotalFactors = 0;
   double PartitionMs = 0.0;
+  double FootprintMs = 0.0;
   double DagBuildMs = 0.0;
+  unsigned FootprintFallbacks = 0;
   bool Ready = false;
 };
 

@@ -20,22 +20,9 @@
 ///
 /// A block is a fixed piece of data, so its footprint is too: it depends
 /// on the nest and the task's segments only, never on array contents. The
-/// footprint is therefore enumerated once per plan, at the task's first
-/// capture, and kept in the task (BlockTask::Footprint) as row runs
-/// (array, offset, length) for as long as the plan lives. It comes from one
-/// of two enumerators, sorted, deduplicated and run-length encoded, so the
-/// runs are exact by construction:
-///
-///   - the task kernel's compiled <name>_writes companion (native tier),
-///     which reports the kernel's store set at native speed with
-///     address-invariant (reduction) loops collapsed;
-///   - otherwise collectSubtreeWrites, the interpreter's structural walk
-///     minus the arithmetic.
-///
-/// Each slot of the memo records which enumerator filled it, so a capture
-/// that must run no native code (oracle reruns, degraded replay) fills and
-/// reads its own interpreter-derived footprint. With the runs known, a
-/// capture is one memcpy per run into a single pre-image buffer, and a
+/// plan computes it once, at build, as row runs (array, offset, length)
+/// kept in the task (BlockTask::Footprint, parallel/BlockPartition.h). A
+/// capture is then one memcpy per run into a single pre-image buffer, and a
 /// restore is the same copy back.
 ///
 //===----------------------------------------------------------------------===//
@@ -58,7 +45,7 @@ class NativeDispatch;
 /// Saved pre-image of one block task's write footprint.
 struct BlockUndoLog {
   /// The footprint the pre-images were taken from (null: empty). A plan's
-  /// capture shares the task's memoized runs.
+  /// capture shares the task's runs.
   std::shared_ptr<const FootprintRuns> Runs;
   /// Pre-images run after run: Entries[I] is the value that the I-th
   /// footprint element, in (array, offset) order, had at capture.
@@ -71,20 +58,24 @@ struct BlockUndoLog {
 
 /// Snapshots the elements \p Task will write on \p Inst (all segments, in
 /// order, duplicates collapsed to the first pre-image — which is the only
-/// correct one to restore). Always a fresh interpreter walk that bypasses
-/// the memo: the oracle the native enumerators are tested against.
+/// correct one to restore). Always a fresh interpreter walk
+/// (walkFootprint) that ignores Task.Footprint: the oracle plan footprints
+/// are tested against.
 BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
                               const ProgramInstance &Inst);
 
-/// Snapshots task \p TaskId's footprint from the task's memo, filling the
-/// memo at the first call. When \p Native provides the task's compiled
-/// write enumerator, that enumerator fills the Native slot in one call over
-/// the task's flattened per-segment DimValues; null \p Native, or a task
-/// without an enumerator, fills and reads the Interpreter slot through the
-/// interpreter walk instead. Both produce identical runs.
-BlockUndoLog captureBlockUndo(const LoopNest &Nest, const BlockTask &Task,
-                              uint32_t TaskId, const ProgramInstance &Inst,
-                              const NativeDispatch *Native);
+/// Snapshots \p Task's plan footprint (Task.Footprint, set at plan build)
+/// on \p Inst.
+BlockUndoLog captureBlockUndo(const BlockTask &Task,
+                              const ProgramInstance &Inst);
+
+/// Forwards to the two-argument capture; the nest, task id and native
+/// module are ignored. bench/e2e adapter only.
+inline BlockUndoLog captureBlockUndo(const LoopNest &, const BlockTask &Task,
+                                     uint32_t, const ProgramInstance &Inst,
+                                     const NativeDispatch *) {
+  return captureBlockUndo(Task, Inst);
+}
 
 /// Writes the saved pre-images back, returning the footprint to its state
 /// at capture time. Idempotent; safe after any partial execution of the

@@ -155,8 +155,8 @@ BoundSplit splitBounds(const Polyhedron &P, unsigned Var) {
 }
 
 /// Picks the variable whose elimination is cheapest, preferring variables
-/// whose elimination is exact (some unit coefficient in every lower/upper
-/// pair). Returns the variable and whether elimination is exact.
+/// whose elimination is exact. Returns the variable and whether elimination
+/// is exact.
 std::pair<unsigned, bool> pickVariable(const Polyhedron &P) {
   unsigned BestVar = 0;
   bool BestExact = false;
@@ -165,26 +165,13 @@ std::pair<unsigned, bool> pickVariable(const Polyhedron &P) {
   for (unsigned V = 0; V < P.getNumVars(); ++V) {
     if (!P.involvesVar(V))
       continue;
-    long NumLo = 0, NumUp = 0;
-    bool AllLoUnit = true, AllUpUnit = true;
-    for (const ConstraintRow &Row : P.inequalities()) {
-      if (Row[V] > 0) {
-        ++NumLo;
-        if (Row[V] != 1)
-          AllLoUnit = false;
-      } else if (Row[V] < 0) {
-        ++NumUp;
-        if (Row[V] != -1)
-          AllUpUnit = false;
-      }
-    }
-    bool Exact = AllLoUnit || AllUpUnit;
-    long Cost = NumLo * NumUp - NumLo - NumUp;
+    FMElimination E = classifyElimination(P, V);
+    long Cost = E.Lowers * E.Uppers - E.Lowers - E.Uppers;
     // Prefer exact eliminations; among them, the cheapest.
-    if ((Exact && !BestExact) ||
-        (Exact == BestExact && Cost < BestCost)) {
+    if ((E.Exact && !BestExact) ||
+        (E.Exact == BestExact && Cost < BestCost)) {
       BestVar = V;
-      BestExact = Exact;
+      BestExact = E.Exact;
       BestCost = Cost;
     }
   }
@@ -324,6 +311,23 @@ std::atomic<uint64_t> GlobalSolverQueries{0};
 
 uint64_t shackle::solverQueryCount() {
   return GlobalSolverQueries.load(std::memory_order_relaxed);
+}
+
+FMElimination shackle::classifyElimination(const Polyhedron &P,
+                                           unsigned Var) {
+  FMElimination E;
+  bool AllLoUnit = true, AllUpUnit = true;
+  for (const ConstraintRow &Row : P.inequalities()) {
+    if (Row[Var] > 0) {
+      ++E.Lowers;
+      AllLoUnit = AllLoUnit && Row[Var] == 1;
+    } else if (Row[Var] < 0) {
+      ++E.Uppers;
+      AllUpUnit = AllUpUnit && Row[Var] == -1;
+    }
+  }
+  E.Exact = AllLoUnit || AllUpUnit;
+  return E;
 }
 
 FeasVerdict shackle::isIntegerEmptyBounded(const Polyhedron &P,

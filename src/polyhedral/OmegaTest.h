@@ -79,6 +79,17 @@ struct SolverStats {
   std::string reasonStr() const;
 };
 
+/// How Fourier-Motzkin elimination of \p Var pairs the inequalities of
+/// \p P (equalities are not looked at): the lower and upper bounds it
+/// combines, and whether the real shadow is the exact integer projection by
+/// Pugh's rule: every lower or every upper bound has a unit coefficient.
+struct FMElimination {
+  long Lowers = 0;
+  long Uppers = 0;
+  bool Exact = true;
+};
+FMElimination classifyElimination(const Polyhedron &P, unsigned Var);
+
 /// Decides whether \p P contains an integer point, within \p Budget. Sound:
 /// Empty and NonEmpty answers are exact; Unknown means undecided.
 FeasVerdict isIntegerEmptyBounded(const Polyhedron &P,

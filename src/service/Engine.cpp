@@ -68,7 +68,7 @@ Expected<Resolved> resolveDsl(const ProgramSource &Src) {
   while (Blocks.size() < Rank)
     Blocks.push_back(Blocks.back());
   DataBlocking Blocking =
-      Src.ColBlocks && Rank == 2
+      Src.Order && Rank == 2
           ? DataBlocking::rectangular(R.MainArray, Blocks, {1, 0})
           : DataBlocking::rectangular(R.MainArray, Blocks);
   if (Src.Reversed)
@@ -84,6 +84,10 @@ Expected<Resolved> resolveDsl(const ProgramSource &Src) {
 } // namespace
 
 Expected<Resolved> shackle::resolveProgram(const ProgramSource &Src) {
+  if (Src.Order && *Src.Order != "colblocks")
+    return Diagnostic(DiagCode::UsageError,
+                      "unknown block order '" + *Src.Order +
+                          "' (the only order is 'colblocks')");
   return Src.Dsl ? resolveDsl(Src) : resolveRegistry(Src);
 }
 

@@ -41,7 +41,9 @@ struct ProgramSource {
   /// Block sizes. Registry: Blocks[0] (default: the entry's default block).
   /// DSL: one per rank of Array (default 64, the last size repeated).
   std::vector<int64_t> Blocks;
-  bool ColBlocks = false; ///< DSL: walk a rank-2 array's blocks by column.
+  /// DSL: the block walk. Unset is row blocks slowest; "colblocks" walks
+  /// a rank-2 array's blocks by column; any other value is a UsageError.
+  std::optional<std::string> Order;
   bool Reversed = false;  ///< DSL: reverse the first cutting plane.
   /// False resolves the program (and the DSL main array) without building
   /// a chain; Config and Blocks are then ignored.
@@ -63,7 +65,8 @@ struct Resolved {
 
 /// Registry lookup, DSL parse, and the stores-shackle build. Errors:
 /// ParseError for DSL text that does not parse, ShackleMismatch for a
-/// stores shackle that does not fit, UsageError otherwise.
+/// stores shackle that does not fit, UsageError otherwise (an Order other
+/// than "colblocks" included, for either source).
 Expected<Resolved> resolveProgram(const ProgramSource &Src);
 
 /// The pipeline's input: fillRandom(1, 0.5, 1.5), then \p R's conditioner.

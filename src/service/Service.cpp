@@ -80,7 +80,8 @@ JsonValue ServiceCore::handleCompileOrRun(const JsonValue &Req, bool Execute) {
   } else if (BlockField.isNumber()) {
     Src.Blocks.push_back(BlockField.asInt());
   }
-  Src.ColBlocks = Req.getString("order") == "colblocks";
+  if (const JsonValue &Order = Req.get("order"); !Order.isNull())
+    Src.Order = Order.isString() ? Order.asString() : Order.str();
   Src.Reversed = Req.getBool("reversed", false);
   Expected<Resolved> Target = resolveProgram(Src);
   if (!Target)

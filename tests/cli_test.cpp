@@ -191,6 +191,31 @@ TEST(Cli, RejectsUnknownFlags) {
       << Out;
 }
 
+TEST(Cli, RejectsMalformedFlagValues) {
+  // A numeric value that is not a whole base-10 integer, or a switch given
+  // a value, must never run with a default or a truncated number.
+  for (const char *Flags :
+       {"--params=16 --threads=four", "--params=16x", "--params=16,,8",
+        "--params=16,", "--params=16 --verify=yes", "--params=16 --threads",
+        "--block=8x --params=16", "--params=16 --max-retries=1.5",
+        "--params=99999999999999999999"}) {
+    auto [Rc, Out] = runCli(std::string("run matmul c --block=8 ") + Flags);
+    EXPECT_EQ(Rc, 1) << Flags << "\n" << Out;
+    EXPECT_NE(Out.find("error: [usage-error] --"), std::string::npos) << Out;
+    EXPECT_EQ(Out.find("ran "), std::string::npos) << Out;
+  }
+  auto [Rc, Out] = runCli("run matmul c --block=8 --params=16 --threads=four");
+  EXPECT_NE(Out.find("--threads expects a whole base-10 integer, got 'four'"),
+            std::string::npos)
+      << Out;
+  auto [VRc, VOut] = runCli("run matmul c --block=8 --params=16 --verify=yes");
+  EXPECT_NE(VOut.find("--verify takes no value"), std::string::npos) << VOut;
+  // Signed values still parse (and clamp as before).
+  auto [NRc, NOut] =
+      runCli("run matmul c --block=8 --params=16 --max-retries=-1");
+  EXPECT_EQ(NRc, 0) << NOut;
+}
+
 class CliFile : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -233,6 +258,19 @@ TEST_F(CliFile, LegalityAndCodegenOnParsedProgram) {
       runCli("file " + Path + " codegen --array=A --block=8,8");
   EXPECT_EQ(Rc2, 0);
   EXPECT_NE(Out2.find("do b1"), std::string::npos) << Out2;
+}
+
+TEST_F(CliFile, OrderAcceptsOnlyColblocks) {
+  auto [Rc, Out] = runCli("file " + Path +
+                          " codegen --array=A --block=8,8 --order=colblocks");
+  EXPECT_EQ(Rc, 0) << Out;
+  for (const char *Bad : {"--order=rowblockz", "--order=", "--order"}) {
+    auto [BadRc, BadOut] =
+        runCli("file " + Path + " codegen --array=A --block=8,8 " + Bad);
+    EXPECT_EQ(BadRc, 1) << Bad << "\n" << BadOut;
+    EXPECT_NE(BadOut.find("usage-error"), std::string::npos) << BadOut;
+    EXPECT_EQ(BadOut.find("do b1"), std::string::npos) << BadOut;
+  }
 }
 
 TEST_F(CliFile, ReversedWalkIsRejectedWithCounterexample) {

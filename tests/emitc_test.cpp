@@ -105,47 +105,24 @@ TEST(EmitC, GuardsEmitAsIfs) {
 }
 
 //===----------------------------------------------------------------------===//
-// Native-tier emission: the write-footprint enumerator companion and the
-// strip-mine-aware GEMM merge (DESIGN.md §15), through the task emitters
-// with a one-root segment sequence.
+// Native-tier emission: the translation unit and the strip-mine-aware GEMM
+// merge (DESIGN.md §15), through the task emitters with a one-root segment
+// sequence.
 //===----------------------------------------------------------------------===//
 
-TEST(EmitCWrites, EnumeratorSignatureReportsStoresAndCollapsesReductions) {
+TEST(EmitC, NativeTranslationUnitCarriesKernelsOnly) {
   BenchSpec Spec = makeMatMul();
   LoopNest Nest =
       generateShackledCode(*Spec.Prog, mmmShackleC(*Spec.Prog, 16));
-  std::string S =
-      emitNativeTaskWritesKernel(Nest, {Nest.Roots[0].get()}, "k_writes");
-  // Enumerators take no array pointers: they compute addresses, never data.
-  EXPECT_NE(S.find("extern \"C\" void k_writes(const int64_t *dims, "
-                   "shackle_native_write_sink sink, void *ctx)"),
+  std::string S = emitNativeTranslationUnit(
+      {{"k", &Nest, {Nest.Roots[0].get()}}}, NativeEmitOptions());
+  EXPECT_NE(S.find("extern \"C\" void k(double **arrays, const int64_t "
+                   "*dims, const shackle_native_hooks *hooks)"),
             std::string::npos)
       << S;
-  EXPECT_EQ(S.find("arrays"), std::string::npos) << S;
-  // The MMM store C[t1,t2] reports as array 0; reads are never reported.
-  EXPECT_NE(S.find("sink(ctx, 0, "), std::string::npos) << S;
-  EXPECT_EQ(S.find("sink(ctx, 1, "), std::string::npos) << S;
-  // The k reduction loop is address-invariant: it must break after its
-  // first emitting iteration rather than rescan the same footprint.
-  EXPECT_NE(S.find("if (_shk_e != _shk_m_"), std::string::npos) << S;
-}
-
-TEST(EmitCWrites, TwoLevelCollapsesStripMinedReductionChain) {
-  BenchSpec Spec = makeMatMul();
-  LoopNest Nest = generateShackledCode(*Spec.Prog,
-                                       mmmShackleTwoLevel(*Spec.Prog, 32, 4));
-  std::string S = emitNativeTaskWritesKernel(Nest, {Nest.Roots[0].get()}, "w");
-  // Dim-relevance is transitive through inner-loop bounds: the k tile
-  // loops (b4, b8) shift only the element loop t3's range, and t3 never
-  // reaches an address, so all three collapse — the enumerator runs in
-  // O(footprint), not O(instances).
-  int Collapses = 0;
-  for (std::size_t At = S.find("_shk_m_"); At != std::string::npos;
-       At = S.find("_shk_m_", At + 1))
-    ++Collapses;
-  EXPECT_EQ(Collapses, 6) << S; // 3 collapsed loops x (mark + break)
-  for (const char *V : {"_shk_m_b4", "_shk_m_b8", "_shk_m_t3"})
-    EXPECT_NE(S.find(V), std::string::npos) << V << "\n" << S;
+  // Undo footprints come from the plan: the unit reports no stores.
+  EXPECT_EQ(S.find("sink"), std::string::npos) << S;
+  EXPECT_EQ(S.find("_writes"), std::string::npos) << S;
 }
 
 TEST(EmitC, GemmMergeSeesThroughStripMining) {

@@ -146,7 +146,7 @@ TEST(EngineResolve, RegistryAndDslCholeskyShareAPlanKey) {
   Dsl.Dsl = readText(example("cholesky.dsl"));
   Dsl.Array = "A";
   Dsl.Blocks = {16};
-  Dsl.ColBlocks = true; // The registry config walks column blocks.
+  Dsl.Order = "colblocks"; // The registry config walks column blocks.
 
   Engine E(MachineShape{});
   std::vector<PlanKey> Keys;

@@ -737,10 +737,9 @@ TEST_F(IntegrityTest, GenuineNanUnderNativeCommitsViaInterpreterOracle) {
 }
 
 //===----------------------------------------------------------------------===//
-// The plan-lifetime footprint memo (UndoLog.h): each task's write footprint
-// is enumerated once per plan, at its first capture, and every later run
-// reads it. The integrity ladder must behave the same on a memo hit as on
-// the first run that filled it.
+// Plan-lifetime footprints (BlockPartition.h): each task's write footprint
+// is computed once, at plan build, and every run of the plan reads it. The
+// integrity ladder must behave the same on every run.
 //===----------------------------------------------------------------------===//
 
 /// A Cholesky plan at N=20 with an SPD input: every result is finite, so
@@ -757,12 +756,23 @@ struct MemoFixture {
   }
 };
 
+/// Each task's footprint pointer: a run that recomputed or replaced a
+/// footprint would change it.
+std::vector<const FootprintRuns *> footprintsOf(const ParallelPlan &Plan) {
+  std::vector<const FootprintRuns *> Out;
+  for (const BlockTask &T : Plan.partition().Tasks)
+    Out.push_back(T.Footprint.get());
+  return Out;
+}
+
 /// Runs \p F's plan from several threads at once, each on its own instance
 /// (the service and Engine case), then checks every result and that each
-/// task's memo slot was filled exactly once.
+/// task kept the one footprint its plan computed at build.
 void expectSharedPlanFillsOnce(const MemoFixture &F, const NativeModule *M) {
   const ParallelPlan &Plan = F.Plan;
   ASSERT_TRUE(Plan.parallelReady());
+  EXPECT_EQ(Plan.footprintFallbacks(), 0u);
+  const std::vector<const FootprintRuns *> Built = footprintsOf(Plan);
   ProgramInstance Ref = F.Input;
   Plan.runSerial(Ref);
 
@@ -788,13 +798,9 @@ void expectSharedPlanFillsOnce(const MemoFixture &F, const NativeModule *M) {
   const std::vector<BlockTask> &Tasks = Plan.partition().Tasks;
   for (uint32_t Id = 0; Id < Tasks.size(); ++Id) {
     const BlockTask &T = Tasks[Id];
-    const bool Enumerated = M && M->taskWritesFor(Id);
-    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Native), Enumerated ? 1u : 0u)
-        << "task " << Id;
-    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Interpreter),
-              Enumerated ? 0u : 1u)
-        << "task " << Id;
-    // The memo holds exactly what a fresh interpreter walk collects.
+    ASSERT_NE(T.Footprint, nullptr) << "task " << Id;
+    EXPECT_EQ(T.Footprint.get(), Built[Id]) << "task " << Id;
+    // The footprint is exactly what a fresh interpreter walk collects.
     BlockUndoLog Fresh = captureBlockUndo(Plan.nest(), T, Ref);
     BlockUndoLog Memo = captureBlockUndo(Plan.nest(), T, Id, Ref, M);
     EXPECT_EQ(Fresh.runs(), Memo.runs()) << "task " << Id;
@@ -815,21 +821,20 @@ TEST(UndoMemo, ConcurrentNativeRunsOfASharedPlanFillEachFootprintOnce) {
   ASSERT_NE(M, nullptr);
   expectSharedPlanFillsOnce(F, M.get());
 
-  // A run that may not execute native code never reads a footprint a
-  // compiled enumerator produced: it fills the interpreter slot.
+  // An interpreter-only run after the native ones reads the same
+  // footprints: there is one per task, whichever tier runs it.
+  const std::vector<const FootprintRuns *> Built = footprintsOf(F.Plan);
   ProgramInstance Inst = F.Input;
   ParallelRunOptions Opts;
   Opts.NumThreads = 2;
   EXPECT_FALSE(F.Plan.run(Inst, Opts).Failed);
-  for (const BlockTask &T : F.Plan.partition().Tasks) {
-    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Native), 1u);
-    EXPECT_EQ(T.Footprint.fills(FootprintMemo::Interpreter), 1u);
-  }
+  EXPECT_EQ(footprintsOf(F.Plan), Built);
 }
 
 TEST_F(IntegrityTest, MemoHitRunsDetectAndRecoverLikeTheFirstRun) {
-  // Each injection runs twice on one plan: the first run fills the memo,
-  // the second reads it. Detection, recovery, and the result must match.
+  // Each injection runs twice on one plan, both reading the footprints
+  // the plan computed at build. Detection, recovery, and the result must
+  // match.
   struct Case {
     const char *Spec;
     DataVerify Verify;
@@ -852,6 +857,7 @@ TEST_F(IntegrityTest, MemoHitRunsDetectAndRecoverLikeTheFirstRun) {
         M = compileModuleFor(F.Plan);
         ASSERT_NE(M, nullptr);
       }
+      const std::vector<const FootprintRuns *> Built = footprintsOf(F.Plan);
       ParallelRunOptions Opts;
       Opts.NumThreads = 1; // One schedule, so both runs are comparable.
       Opts.VerifyData = C.Verify;
@@ -882,10 +888,7 @@ TEST_F(IntegrityTest, MemoHitRunsDetectAndRecoverLikeTheFirstRun) {
       ASSERT_EQ(Hit.Diags.size(), First.Diags.size());
       for (std::size_t I = 0; I < Hit.Diags.size(); ++I)
         EXPECT_EQ(Hit.Diags[I].str(), First.Diags[I].str());
-      for (const BlockTask &T : F.Plan.partition().Tasks) {
-        EXPECT_LE(T.Footprint.fills(FootprintMemo::Native), 1u);
-        EXPECT_LE(T.Footprint.fills(FootprintMemo::Interpreter), 1u);
-      }
+      EXPECT_EQ(footprintsOf(F.Plan), Built);
     }
   }
 }

@@ -551,6 +551,15 @@ TEST(ServiceCore, MalformedRequestsGetErrorRepliesNeverCrash) {
   EXPECT_EQ(Code("{\"op\":\"compile\",\"dsl\":\"do wat\",\"array\":\"A\","
                  "\"params\":[]}"),
             "parse-error");
+  // The only block order is "colblocks"; any other value is refused, for
+  // a registry program as for DSL text.
+  EXPECT_EQ(Code("{\"op\":\"run\",\"benchmark\":\"matmul\",\"config\":\"c\","
+                 "\"order\":\"colblockz\",\"params\":[8]}"),
+            "usage-error");
+  EXPECT_EQ(Code("{\"op\":\"compile\",\"dsl\":\"param N\\narray A[N]\\n"
+                 "do I = 0, N-1\\n  S1: A[I] = 1\\nend\\n\",\"array\":\"A\","
+                 "\"order\":7,\"params\":[8]}"),
+            "usage-error");
   ServiceStats S = Core.stats();
   EXPECT_GT(S.Errors, 0u);
 }

@@ -301,9 +301,9 @@ TEST_F(SimdNativeTest, TaskGrainMultiSegmentCholeskyBitwise) {
                             /*AutoLevel=*/false, /*Tol=*/0.0, /*SpdDim=*/48);
 }
 
-/// The compiled task-grain `_writes` enumerator must produce the same undo
-/// log as the interpreter's write walk for every task — same runs, same
-/// order, same pre-images.
+/// A task-grain native plan's undo capture must produce the same undo log
+/// as the interpreter's write walk for every task — same runs, same order,
+/// same pre-images.
 TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
   BenchSpec Spec = makeCholeskyRight();
   const Program &P = *Spec.Prog;
@@ -321,7 +321,7 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
   for (uint32_t T = 0; T < Part.Tasks.size(); ++T) {
     SawMultiSegment |= Part.Tasks[T].Segments.size() > 1;
     BlockUndoLog Interp = captureBlockUndo(Plan.nest(), Part.Tasks[T], Inst);
-    ASSERT_NE(M->taskWritesFor(T), nullptr) << "task " << T;
+    ASSERT_NE(M->taskFnFor(T), nullptr) << "task " << T;
     BlockUndoLog Native =
         captureBlockUndo(Plan.nest(), Part.Tasks[T], T, Inst, M.get());
     EXPECT_EQ(Interp.runs(), Native.runs()) << "task " << T;

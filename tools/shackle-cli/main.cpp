@@ -36,12 +36,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,9 +145,28 @@ const char *flagArg(int Argc, char **Argv, const char *Name) {
   return nullptr;
 }
 
+/// Parses \p S as a whole base-10 integer (optional sign, digits only, in
+/// int64 range).
+bool parseInteger(const std::string &S, int64_t &Out) {
+  if (S.empty() || std::isspace(static_cast<unsigned char>(S[0])))
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  long long V = std::strtoll(S.c_str(), &End, 10);
+  if (*End || errno == ERANGE)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// --Name=N, or \p Default when absent. main() has checked the value
+/// (checkFlagValues).
 int64_t flagValue(int Argc, char **Argv, const char *Name, int64_t Default) {
   const char *V = flagArg(Argc, Argv, Name);
-  return V ? std::atoll(V) : Default;
+  int64_t Out = Default;
+  if (V)
+    parseInteger(V, Out);
+  return Out;
 }
 
 std::string flagString(int Argc, char **Argv, const char *Name,
@@ -176,16 +198,23 @@ SolverBudget budgetFromFlags(int Argc, char **Argv) {
   return B;
 }
 
-/// --Name=N1,N2,... as integers (empty when absent).
+/// Splits \p S at commas into whole base-10 integers; false when an entry
+/// is not one.
+bool parseIntegerList(const std::string &S, std::vector<int64_t> &Out) {
+  std::stringstream In(S);
+  std::string Entry;
+  while (std::getline(In, Entry, ','))
+    if (!parseInteger(Entry, Out.emplace_back()))
+      return false;
+  return !S.empty() && S.back() != ',';
+}
+
+/// --Name=N1,N2,... as integers (empty when absent). main() has checked
+/// the value (checkFlagValues).
 std::vector<int64_t> paramList(int Argc, char **Argv, const char *Name) {
   std::vector<int64_t> Out;
-  const char *S = flagArg(Argc, Argv, Name);
-  while (S && *S) {
-    Out.push_back(std::atoll(S));
-    S = std::strchr(S, ',');
-    if (S)
-      ++S;
-  }
+  if (const char *S = flagArg(Argc, Argv, Name))
+    parseIntegerList(S, Out);
   return Out;
 }
 
@@ -501,12 +530,14 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
                                static_cast<double>(Part.Tasks.size());
     std::printf("task graph: %zu %s over %u of %u chain factor(s); "
                 "%llu segment(s), avg %.1f max %zu per task; "
-                "dag-build %.2f ms (partition %.2f ms)\n",
+                "dag-build %.2f ms (partition %.2f ms, footprints %.2f ms, "
+                "%u walked)\n",
                 Part.Tasks.size(),
                 Plan.hierarchical() ? "outer task(s)" : "block task(s)",
                 Plan.taskFactors(), Plan.totalFactors(),
                 ull(Part.totalSegments()), AvgSegs, Part.maxSegmentsPerTask(),
-                Plan.dagBuildMs(), Plan.partitionMs());
+                Plan.dagBuildMs(), Plan.partitionMs(), Plan.footprintMs(),
+                Plan.footprintFallbacks());
   }
   if (Res.Refused) {
     std::fprintf(stderr, "--strict: refusing serial fallback execution\n");
@@ -701,6 +732,45 @@ std::string unknownFlag(const std::string &Action, bool Dsl, int Argc,
   return "";
 }
 
+/// The usage error for the first flag whose value has the wrong shape, or
+/// empty. Switches take no value; the integer flags take one whole base-10
+/// integer, and --params and --block a comma-separated list of them; every
+/// other flag takes a value its command checks.
+std::string checkFlagValues(int Argc, char **Argv) {
+  static const std::set<std::string> Switches = {
+      "verify", "perf", "paranoia", "strict", "naive", "reversed"};
+  static const std::set<std::string> Integers = {
+      "eval", "threads", "max-retries", "deadline-ms", "stall-ms",
+      "solver-budget", "cache-bytes", "max-inflight", "queue-depth",
+      "request-deadline-ms", "max-line-bytes", "idle-timeout-ms",
+      "max-connections", "snapshot-interval-s", "timeout-ms",
+      "backoff-base-ms", "backoff-max-ms", "retry-seed"};
+  for (int I = 2; I < Argc; ++I) {
+    if (std::strncmp(Argv[I], "--", 2) != 0)
+      continue;
+    const char *Eq = std::strchr(Argv[I], '=');
+    std::string Name(Argv[I] + 2, std::strcspn(Argv[I] + 2, "="));
+    std::string Flag = "--" + Name;
+    if (Switches.count(Name)) {
+      if (Eq)
+        return Flag + " takes no value, got '" + Argv[I] + "'";
+      continue;
+    }
+    if (!Eq)
+      return Flag + " needs a value (" + Flag + "=...)";
+    int64_t V;
+    std::vector<int64_t> Vs;
+    if (Integers.count(Name) && !parseInteger(Eq + 1, V))
+      return Flag + " expects a whole base-10 integer, got '" + (Eq + 1) +
+             "'";
+    if ((Name == "params" || Name == "block") &&
+        !parseIntegerList(Eq + 1, Vs))
+      return Flag + " expects comma-separated whole base-10 integers, got '" +
+             (Eq + 1) + "'";
+  }
+  return "";
+}
+
 /// Reads \p Path into \p Out; false when the file cannot be opened.
 bool readFile(const char *Path, std::string &Out) {
   std::ifstream In(Path, std::ios::binary);
@@ -837,6 +907,11 @@ int main(int Argc, char **Argv) {
                  Unknown.c_str(), Action.c_str());
     return 1;
   }
+  std::string BadValue = checkFlagValues(Argc, Argv);
+  if (!BadValue.empty()) {
+    std::fprintf(stderr, "error: [usage-error] %s\n", BadValue.c_str());
+    return 1;
+  }
 
   if (Cmd == "list")
     return cmdList();
@@ -856,7 +931,8 @@ int main(int Argc, char **Argv) {
                          Diagnostic(DiagCode::IOError, "cannot open file"));
     Src.Dsl = std::move(Text);
     Src.Array = flagString(Argc, Argv, "array");
-    Src.ColBlocks = hasFlag(Argc, Argv, "order=colblocks");
+    if (const char *Order = flagArg(Argc, Argv, "order"))
+      Src.Order = Order;
     Src.Reversed = hasFlag(Argc, Argv, "reversed");
     return cmdProgram(Action, std::move(Src), Argv[2], Argc, Argv);
   }
