@@ -77,8 +77,26 @@ public:
   /// determinism guarantee is stated - and tested - at this strength.
   bool bitwiseEqual(const ProgramInstance &Other) const;
 
+  /// Storage the parallel runtime keeps its pre-run snapshot of the
+  /// written data in (capturePristine, parallel/Integrity.h). It is sized
+  /// by the first run and reused by every later one, so a warm run neither
+  /// allocates it nor faults its pages in. A copy of the instance starts
+  /// with its own, empty one.
+  std::vector<double> &snapshotBuffer() { return Snapshot.Data; }
+
 private:
+  /// A buffer that copying leaves behind (moving carries it along).
+  struct UncopiedBuffer {
+    std::vector<double> Data;
+    UncopiedBuffer() = default;
+    UncopiedBuffer(const UncopiedBuffer &) {}
+    UncopiedBuffer &operator=(const UncopiedBuffer &) { return *this; }
+    UncopiedBuffer(UncopiedBuffer &&) = default;
+    UncopiedBuffer &operator=(UncopiedBuffer &&) = default;
+  };
+
   std::vector<std::vector<double>> Buffers;
+  UncopiedBuffer Snapshot;
 };
 
 /// Per-access trace callback: array, physical element offset, write flag.

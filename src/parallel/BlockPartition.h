@@ -147,6 +147,10 @@ class ArrayAddressing;
 unsigned computeFootprints(const LoopNest &Nest, BlockPartition &Part,
                            const ArrayAddressing &Addr);
 
+/// The union of every task's Footprint in \p Part, as runs in the same
+/// sorted, disjoint form: everything a run of the partition can write.
+FootprintRuns unionFootprints(const BlockPartition &Part);
+
 /// The write footprint of \p Task by the interpreter's write walk: every
 /// store of every segment, sorted, deduplicated and run-length encoded.
 FootprintRuns walkFootprint(const LoopNest &Nest, const BlockTask &Task,

@@ -327,6 +327,14 @@ unsigned shackle::computeFootprints(const LoopNest &Nest, BlockPartition &Part,
   return Fallbacks;
 }
 
+FootprintRuns shackle::unionFootprints(const BlockPartition &Part) {
+  std::vector<FootprintRun> Pieces;
+  for (const BlockTask &T : Part.Tasks)
+    if (T.Footprint)
+      Pieces.insert(Pieces.end(), T.Footprint->begin(), T.Footprint->end());
+  return encodeRuns(Pieces);
+}
+
 FootprintRuns shackle::walkFootprint(const LoopNest &Nest,
                                      const BlockTask &Task,
                                      const ArrayAddressing &Addr) {

@@ -120,17 +120,13 @@ std::string shackle::formatCone(const std::vector<uint32_t> &Cone,
   return S;
 }
 
-PristineSnapshot shackle::capturePristine(const ProgramInstance &Inst) {
-  PristineSnapshot Snap;
-  const unsigned NumArrays = Inst.program().getNumArrays();
-  Snap.Buffers.reserve(NumArrays);
-  for (unsigned A = 0; A < NumArrays; ++A)
-    Snap.Buffers.push_back(Inst.buffer(A));
-  return Snap;
+std::size_t shackle::capturePristine(const FootprintRuns &Written,
+                                     ProgramInstance &Inst) {
+  gatherRuns(Written, Inst, Inst.snapshotBuffer());
+  return Inst.snapshotBuffer().size();
 }
 
-void shackle::restorePristine(const PristineSnapshot &Snap,
+void shackle::restorePristine(const FootprintRuns &Written,
                               ProgramInstance &Inst) {
-  for (unsigned A = 0; A < Snap.Buffers.size(); ++A)
-    Inst.buffer(A) = Snap.Buffers[A];
+  scatterRuns(Written, Inst.snapshotBuffer(), Inst);
 }

@@ -34,8 +34,11 @@
 ///     downstream cone its poison would have reached (downstreamCone).
 ///
 /// The escalation ladder on detection: verify -> rollback-and-retry ->
-/// degraded serial replay (from a pristine input snapshot when the undo
-/// log itself is untrustworthy) -> fail with provenance.
+/// degraded serial replay (from a pristine snapshot of the written data
+/// when the undo log itself is untrustworthy) -> fail with provenance. That
+/// snapshot covers the plan's written set only — the union of its task
+/// footprints — and lives in a buffer the instance keeps across runs
+/// (capturePristine).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,8 +80,11 @@ struct IntegrityStats {
   uint64_t UndoRefused = 0;
   /// Blocks quarantined for committing a non-finite value.
   uint64_t PoisonedBlocks = 0;
-  /// Full serial replays from the pristine input snapshot.
+  /// Full serial replays from the pristine snapshot.
   uint64_t PristineReplays = 0;
+  /// Bytes of written data the pristine snapshot holds (elements x 8; 0
+  /// when the run verified nothing).
+  uint64_t PristineBytes = 0;
 };
 
 /// Order-sensitive digest of an undo log: each run's (array, offset,
@@ -119,16 +125,22 @@ std::vector<uint32_t> downstreamCone(const BlockDepGraph &Graph,
 std::string formatCone(const std::vector<uint32_t> &Cone,
                        std::size_t MaxNamed = 8);
 
-/// Full copy of an instance's buffers, taken before any block runs. The
-/// last rung above failure: when an undo log cannot be trusted, the
-/// instance state after a refused restore is unknown, and the only sound
-/// recovery is to put every array back and replay the whole nest serially.
-struct PristineSnapshot {
-  std::vector<std::vector<double>> Buffers;
-};
+/// Copies the elements of \p Written — a plan's written set, the union of
+/// its task footprints (ParallelPlan::writtenSet) — out of \p Inst into the
+/// instance's snapshot buffer, one memcpy per run, before any block runs;
+/// returns the number of elements copied. The last rung above failure:
+/// when an undo log cannot be trusted, the instance state after a refused
+/// restore is unknown, and the only sound recovery is to put back every
+/// element the run may have written and replay the whole nest serially.
+/// Elements outside the written set are never written, so they need no
+/// copy. The snapshot is a copy of its own, never assembled from undo logs,
+/// so a corrupted undo log is never the only copy of a pristine value.
+std::size_t capturePristine(const FootprintRuns &Written,
+                            ProgramInstance &Inst);
 
-PristineSnapshot capturePristine(const ProgramInstance &Inst);
-void restorePristine(const PristineSnapshot &Snap, ProgramInstance &Inst);
+/// Writes the snapshot capturePristine took of \p Written back into
+/// \p Inst.
+void restorePristine(const FootprintRuns &Written, ProgramInstance &Inst);
 
 } // namespace shackle
 

@@ -203,9 +203,17 @@ void ParallelPlan::attachFootprints() {
   auto Start = std::chrono::steady_clock::now();
   FootprintFallbacks = computeFootprints(
       CG.Nest, Partition, ArrayAddressing(*CG.Nest.Prog, Params));
+  Written = unionFootprints(Partition);
   FootprintMs = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
+}
+
+uint64_t ParallelPlan::footprintBytes() const {
+  uint64_t Runs = Written.size();
+  for (const BlockTask &T : Partition.Tasks)
+    Runs += T.Footprint ? T.Footprint->size() : 0;
+  return Runs * sizeof(FootprintRun);
 }
 
 ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
@@ -281,12 +289,12 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   S.VerifyUsed = Verify;
 
   // When restores can be refused (a corrupted undo log), the only sound
-  // recovery is a whole-run restart, so snapshot every input buffer before
-  // any block writes. One full copy per run, the price of the last rung
-  // above "fail".
-  PristineSnapshot Pristine;
+  // recovery is a whole-run restart, so snapshot the written set before any
+  // block writes. One memcpy per run into the buffer the instance keeps,
+  // the price of the last rung above "fail".
   if (Verify != DataVerify::Off)
-    Pristine = capturePristine(Inst);
+    S.Integrity.PristineBytes =
+        capturePristine(Written, Inst) * sizeof(double);
 
   // Placement: clamp the worker count exactly as the scheduler will, then
   // split the lexicographic task order into one segment-weighted contiguous
@@ -907,14 +915,14 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   if (UndoCorrupted.load(std::memory_order_relaxed)) {
     // Last rung before failure. A restore was refused because the undo log
     // itself failed verification, so no per-block state can be trusted:
-    // put every array back to its pristine pre-run snapshot and replay the
-    // whole nest serially. Slow, but bitwise-identical to a serial run.
+    // put the written set back to its pristine pre-run snapshot and replay
+    // the whole nest serially. Slow, but bitwise-identical to a serial run.
     noteDiag(Diagnostic(
         DiagCode::ParallelDegrade,
         "an undo log failed checksum verification; restarting the whole "
-        "nest serially from the pristine input snapshot",
+        "nest serially from the pristine snapshot",
         {}, Severity::Warning));
-    restorePristine(Pristine, Inst);
+    restorePristine(Written, Inst);
     runSerial(Inst);
     S.Integrity.PristineReplays = 1;
     S.BlocksRun = N;

@@ -15,7 +15,8 @@
 ///   1. code generation through the fault-tolerant pipeline (legality under
 ///      a SolverBudget, shackled -> naive -> original tiers);
 ///   2. the per-block task list (partitionLoopNestByBlocks) with each
-///      task's exact write footprint (computeFootprints);
+///      task's exact write footprint (computeFootprints) and their union,
+///      the plan's written set;
 ///   3. the block dependence DAG (buildBlockDepGraph).
 ///
 /// Hierarchical chains (one factor group per memory level, Figure 10) can
@@ -48,12 +49,13 @@
 ///
 /// The data plane gets the same treatment (DESIGN.md §12): undo logs are
 /// checksummed at capture and verified before every restore (an unsound
-/// restore is refused and the run restarts serially from a pristine input
-/// snapshot); --verify-data=block commits a block only after two
-/// independent executions agree bit-for-bit, so a silent bit-flip is
-/// detected and recomputed; and a block that commits a non-finite value is
-/// quarantined with its downstream dependence cone and reported with exact
-/// provenance (ParallelPoison) instead of poisoning the results silently.
+/// restore is refused and the run restarts serially from a pristine
+/// snapshot of the plan's written set); --verify-data=block commits a
+/// block only after two independent executions agree bit-for-bit, so a
+/// silent bit-flip is detected and recomputed; and a block that commits a
+/// non-finite value is quarantined with its downstream dependence cone and
+/// reported with exact provenance (ParallelPoison) instead of poisoning the
+/// results silently.
 ///
 /// Determinism: for every dependence edge u -> v the scheduler orders all
 /// of block u before all of block v, and instances inside a block run in
@@ -372,6 +374,13 @@ public:
   /// Tasks whose footprint came from the interpreter's write walk because
   /// a projection could not be certified exact (computeFootprints).
   unsigned footprintFallbacks() const { return FootprintFallbacks; }
+  /// The plan's written set: the union of every task's footprint, sorted
+  /// and disjoint (empty when the partition failed). Everything a run can
+  /// write, and so everything the pristine snapshot has to hold.
+  const FootprintRuns &writtenSet() const { return Written; }
+  /// Bytes the task footprints and the written set keep resident, on top
+  /// of the plan's serialized form (which carries neither).
+  uint64_t footprintBytes() const;
 
   /// Executes the plan on \p Inst (whose parameter values must match) under
   /// \p Opts: undo-logged blocks, rollback-and-retry on failure, watchdog
@@ -401,7 +410,8 @@ public:
   std::string summary() const;
 
 private:
-  /// Sets every task's footprint (computeFootprints) and its cost.
+  /// Sets every task's footprint (computeFootprints), the written set, and
+  /// their cost.
   void attachFootprints();
 
   CodegenResult CG;
@@ -415,6 +425,7 @@ private:
   double FootprintMs = 0.0;
   double DagBuildMs = 0.0;
   unsigned FootprintFallbacks = 0;
+  FootprintRuns Written;
   bool Ready = false;
 };
 

@@ -14,23 +14,45 @@
 
 using namespace shackle;
 
+void shackle::gatherRuns(const FootprintRuns &Runs,
+                         const ProgramInstance &Inst,
+                         std::vector<double> &Values) {
+  std::size_t Elements = 0;
+  for (const FootprintRun &R : Runs)
+    Elements += static_cast<std::size_t>(R.Length);
+  Values.clear();
+  Values.reserve(Elements);
+  for (const FootprintRun &R : Runs) {
+    assert(static_cast<std::size_t>(R.Offset + R.Length) <=
+               Inst.buffer(R.ArrayId).size() &&
+           "footprint run outside the array extent");
+    const double *Src = Inst.buffer(R.ArrayId).data() + R.Offset;
+    Values.insert(Values.end(), Src, Src + R.Length);
+  }
+}
+
+void shackle::scatterRuns(const FootprintRuns &Runs,
+                          const std::vector<double> &Values,
+                          ProgramInstance &Inst) {
+  const double *Src = Values.data();
+  for (const FootprintRun &R : Runs) {
+    assert(Src + R.Length <= Values.data() + Values.size() &&
+           static_cast<std::size_t>(R.Offset + R.Length) <=
+               Inst.buffer(R.ArrayId).size() &&
+           "footprint run outside the values or the array extent");
+    std::memcpy(Inst.buffer(R.ArrayId).data() + R.Offset, Src,
+                static_cast<std::size_t>(R.Length) * sizeof(double));
+    Src += R.Length;
+  }
+}
+
 namespace {
 
 /// Copies the pre-images of \p Runs out of \p Inst, one memcpy per run.
 BlockUndoLog snapshotRuns(std::shared_ptr<const FootprintRuns> Runs,
                           const ProgramInstance &Inst) {
   BlockUndoLog Log;
-  std::size_t Elements = 0;
-  for (const FootprintRun &R : *Runs)
-    Elements += static_cast<std::size_t>(R.Length);
-  Log.Entries.reserve(Elements);
-  for (const FootprintRun &R : *Runs) {
-    assert(static_cast<std::size_t>(R.Offset + R.Length) <=
-               Inst.buffer(R.ArrayId).size() &&
-           "undo footprint run outside the array extent");
-    const double *Src = Inst.buffer(R.ArrayId).data() + R.Offset;
-    Log.Entries.insert(Log.Entries.end(), Src, Src + R.Length);
-  }
+  gatherRuns(*Runs, Inst, Log.Entries);
   Log.Runs = std::move(Runs);
   return Log;
 }
@@ -68,14 +90,5 @@ BlockUndoLog shackle::captureBlockUndo(const BlockTask &Task,
 
 void shackle::restoreBlockUndo(const BlockUndoLog &Log,
                                ProgramInstance &Inst) {
-  const double *Src = Log.Entries.data();
-  for (const FootprintRun &R : Log.runs()) {
-    assert(Src + R.Length <= Log.Entries.data() + Log.Entries.size() &&
-           static_cast<std::size_t>(R.Offset + R.Length) <=
-               Inst.buffer(R.ArrayId).size() &&
-           "undo run outside the log or the array extent");
-    std::memcpy(Inst.buffer(R.ArrayId).data() + R.Offset, Src,
-                static_cast<std::size_t>(R.Length) * sizeof(double));
-    Src += R.Length;
-  }
+  scatterRuns(Log.runs(), Log.Entries, Inst);
 }

@@ -77,6 +77,17 @@ inline BlockUndoLog captureBlockUndo(const LoopNest &, const BlockTask &Task,
   return captureBlockUndo(Task, Inst);
 }
 
+/// Copies the elements along \p Runs out of \p Inst into \p Values, run
+/// after run, one memcpy each; \p Values keeps its capacity, so a buffer
+/// reused across calls is not reallocated once it is large enough.
+void gatherRuns(const FootprintRuns &Runs, const ProgramInstance &Inst,
+                std::vector<double> &Values);
+
+/// Writes \p Values back along \p Runs into \p Inst: the inverse of
+/// gatherRuns.
+void scatterRuns(const FootprintRuns &Runs, const std::vector<double> &Values,
+                 ProgramInstance &Inst);
+
 /// Writes the saved pre-images back, returning the footprint to its state
 /// at capture time. Idempotent; safe after any partial execution of the
 /// block (concurrent blocks never touch this footprint — that is exactly

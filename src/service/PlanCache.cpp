@@ -170,10 +170,12 @@ PlanCache::getOrBuild(const PlanKey &Key,
     if (Built) {
       E->St = Entry::State::Ready;
       E->Plan = Built;
-      // Accounting: the serialized size is a good proxy for the plan's
-      // resident footprint; plans too degraded to serialize get a nominal
-      // charge so they still participate in LRU.
-      E->Bytes = Built->Blob.empty() ? 1024 : Built->Blob.size();
+      // Accounting: the serialized size stands for the plan's structure
+      // (plans too degraded to serialize get a nominal charge so they
+      // still participate in LRU); the footprint runs computed at build
+      // are resident on top of it and often larger.
+      E->Bytes = (Built->Blob.empty() ? 1024 : Built->Blob.size()) +
+                 Built->Plan.footprintBytes();
       E->LruTick = ++S.Tick;
       S.Bytes += E->Bytes;
       evictLocked(S);

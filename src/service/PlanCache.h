@@ -13,7 +13,8 @@
 ///
 ///   * Single-flight: concurrent misses on one key compile once; waiters
 ///     block on the entry and are counted as coalesces.
-///   * LRU-by-bytes eviction: live plans are charged their serialized size;
+///   * LRU-by-bytes eviction: live plans are charged their serialized size
+///     plus their resident footprint runs (ParallelPlan::footprintBytes);
 ///     evicted plans fall back to their compact blob (still persisted, and
 ///     revivable on the next miss) so eviction frees the expensive
 ///     deserialized structures first.

@@ -94,8 +94,9 @@ TEST(Trmm, RowBlocksNeedTheReversedWalk) {
     ShackleChain Chain;
     Chain.Factors.push_back(DataShackle::onStores(P, Blocking));
     EXPECT_EQ(checkLegality(P, Chain).Legal, Reversed);
-    if (Reversed)
+    if (Reversed) {
       EXPECT_EQ(runBoth(P, Chain, 19), 0.0);
+    }
   }
 }
 

@@ -47,8 +47,9 @@ TEST(Dependence, MatMulHasOnlySelfDependencesOnC) {
   // level 0 (I) and level 1 (J) the C subscripts differ.
   for (const DependenceProblem &DP : buildDependenceProblems(*Spec.Prog)) {
     bool Feasible = !isIntegerEmpty(DP.Poly);
-    if (DP.Level < 2)
+    if (DP.Level < 2) {
       EXPECT_FALSE(Feasible) << DP.describe(*Spec.Prog);
+    }
   }
 }
 

@@ -12,7 +12,9 @@
 // back to the walk, on every registry program and configuration, every
 // examples/dsl program, both benchmark plans at full size, and a plan
 // restored from a snapshot. One hand-built nest whose projection cannot be
-// certified checks the fallback itself.
+// certified checks the fallback itself. The plan's written set, the union
+// of its task footprints that the pristine snapshot copies, is held to the
+// write walk over the whole nest on the same programs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace shackle;
@@ -58,21 +61,51 @@ unsigned expectOracleFootprints(const ParallelPlan &Plan, const Program &P,
   return Checked;
 }
 
+/// The plan's written set against the interpreter's write walk over the
+/// whole nest (collectSubtreeWrites from every root, only the parameters
+/// bound): the union of all task footprints must be exactly what the nest
+/// stores to. Returns 1 (one plan checked).
+unsigned expectNestWrittenSet(const ParallelPlan &Plan, const Program &P) {
+  const LoopNest &Nest = Plan.nest();
+  std::vector<int64_t> Dims(Nest.NumDims, 0);
+  std::copy(Plan.paramValues().begin(), Plan.paramValues().end(),
+            Dims.begin());
+  std::set<std::pair<unsigned, int64_t>> Stored;
+  WriteSink Sink = [&](unsigned ArrayId, int64_t Offset) {
+    Stored.insert({ArrayId, Offset});
+  };
+  for (const ASTNodePtr &Root : Nest.Roots)
+    collectSubtreeWrites(Nest, *Root, Dims,
+                         ArrayAddressing(P, Plan.paramValues()), Sink);
+  FootprintRuns Walk;
+  for (const auto &[ArrayId, Offset] : Stored) {
+    FootprintRun *L = Walk.empty() ? nullptr : &Walk.back();
+    if (L && L->ArrayId == ArrayId && L->Offset + L->Length == Offset)
+      ++L->Length;
+    else
+      Walk.push_back({ArrayId, Offset, 1});
+  }
+  EXPECT_FALSE(Walk.empty()) << Plan.summary();
+  EXPECT_EQ(Plan.writtenSet(), Walk) << Plan.summary();
+  return 1;
+}
+
 /// Builds \p Chain's plan for \p P flat and at the automatic task level and
-/// checks both; returns the tasks checked.
-unsigned expectBothLevels(const Program &P, const ShackleChain &Chain,
-                          const std::vector<int64_t> &Params,
-                          const std::string &What) {
-  unsigned Checked = 0;
+/// runs \p Check on each that partitions; returns the sum of its results.
+template <typename CheckFn>
+unsigned checkBothLevels(const Program &P, const ShackleChain &Chain,
+                         const std::vector<int64_t> &Params,
+                         const std::string &What, CheckFn &&Check) {
+  unsigned Sum = 0;
   for (bool Auto : {false, true}) {
     SCOPED_TRACE(What + (Auto ? " auto" : " flat"));
     ParallelPlanOptions Opts;
     Opts.AutoTaskLevel = Auto;
     ParallelPlan Plan = ParallelPlan::build(P, Chain, Params, Opts);
     if (Plan.partition().OK)
-      Checked += expectOracleFootprints(Plan, P);
+      Sum += Check(Plan, P);
   }
-  return Checked;
+  return Sum;
 }
 
 /// The first parameter is the problem size; later ones (band widths, time
@@ -84,24 +117,32 @@ std::vector<int64_t> smallParams(const Program &P) {
   return Params;
 }
 
-TEST(PlanFootprints, EveryRegistryProgramAndConfigMatchesTheWalk) {
-  unsigned Plans = 0, Checked = 0;
+/// Runs checkBothLevels(\p Check) on every registry program x configuration
+/// at N=13, B=4; returns how many configurations partitioned at some level
+/// and adds the sum of \p Check's results to \p Checked.
+template <typename CheckFn>
+unsigned checkRegistry(CheckFn &&Check, unsigned &Checked) {
+  unsigned Plans = 0;
   for (const auto &[Name, Entry] : benchRegistry()) {
     for (const auto &[Config, MakeChain] : Entry.Configs) {
       BenchSpec Spec = Entry.Make();
       const Program &P = *Spec.Prog;
-      unsigned Got = expectBothLevels(P, MakeChain(P, 4), smallParams(P),
-                                      Name + " " + Config);
+      unsigned Got = checkBothLevels(P, MakeChain(P, 4), smallParams(P),
+                                     Name + " " + Config, Check);
       Plans += Got > 0;
       Checked += Got;
     }
   }
-  EXPECT_GE(Plans, 13u) << "the battery lost part of the registry";
-  EXPECT_GT(Checked, 1000u);
+  return Plans;
 }
 
-TEST(PlanFootprints, EveryDslExampleMatchesTheWalk) {
-  unsigned Checked = 0, Files = 0;
+/// Runs checkBothLevels(\p Check) on every examples/dsl file, shackled
+/// through its first statement's store by blocks of 4 in both orders;
+/// returns the number of files and adds the sum of \p Check's results to
+/// \p Checked.
+template <typename CheckFn>
+unsigned checkDslExamples(CheckFn &&Check, unsigned &Checked) {
+  unsigned Files = 0;
   for (const auto &File : std::filesystem::directory_iterator(
            std::string(SHACKLE_SOURCE_DIR) + "/examples/dsl")) {
     std::ifstream In(File.path());
@@ -111,7 +152,9 @@ TEST(PlanFootprints, EveryDslExampleMatchesTheWalk) {
     Src.Dsl = Text.str();
     Src.WantChain = false;
     Expected<Resolved> Plain = resolveProgram(Src);
-    ASSERT_TRUE(Plain) << File.path();
+    EXPECT_TRUE(Plain) << File.path();
+    if (!Plain)
+      continue;
     // Shackle through the first statement's store.
     const Program &P0 = *Plain.get().Prog;
     Src.Array = P0.getArray(P0.getStmt(0).LHS.ArrayId).Name;
@@ -122,15 +165,52 @@ TEST(PlanFootprints, EveryDslExampleMatchesTheWalk) {
       if (*Order)
         Src.Order = Order;
       Expected<Resolved> R = resolveProgram(Src);
-      ASSERT_TRUE(R) << File.path() << ": " << R.diagnostic().str();
+      EXPECT_TRUE(R) << File.path() << ": " << R.diagnostic().str();
+      if (!R)
+        continue;
       const Program &P = *R.get().Prog;
-      Checked += expectBothLevels(P, R.get().Chain, smallParams(P),
-                                  File.path().filename().string() + " " +
-                                      Order);
+      Checked += checkBothLevels(P, R.get().Chain, smallParams(P),
+                                 File.path().filename().string() + " " +
+                                     Order,
+                                 Check);
     }
   }
+  return Files;
+}
+
+TEST(PlanFootprints, EveryRegistryProgramAndConfigMatchesTheWalk) {
+  unsigned Checked = 0;
+  unsigned Plans = checkRegistry(
+      [](const ParallelPlan &Plan, const Program &P) {
+        return expectOracleFootprints(Plan, P);
+      },
+      Checked);
+  EXPECT_GE(Plans, 13u) << "the battery lost part of the registry";
+  EXPECT_GT(Checked, 1000u);
+}
+
+TEST(PlanFootprints, EveryDslExampleMatchesTheWalk) {
+  unsigned Checked = 0;
+  unsigned Files = checkDslExamples(
+      [](const ParallelPlan &Plan, const Program &P) {
+        return expectOracleFootprints(Plan, P);
+      },
+      Checked);
   EXPECT_EQ(Files, 5u);
   EXPECT_GT(Checked, 100u);
+}
+
+TEST(PlanWrittenSet, EveryRegistryProgramAndConfigMatchesTheNestWalk) {
+  unsigned Checked = 0;
+  unsigned Plans = checkRegistry(expectNestWrittenSet, Checked);
+  EXPECT_GE(Plans, 13u) << "the battery lost part of the registry";
+  EXPECT_GE(Checked, 26u);
+}
+
+TEST(PlanWrittenSet, EveryDslExampleMatchesTheNestWalk) {
+  unsigned Checked = 0;
+  EXPECT_EQ(checkDslExamples(expectNestWrittenSet, Checked), 5u);
+  EXPECT_GE(Checked, 10u);
 }
 
 /// The two benchmark plans at full size (as bench/e2e builds them: the
@@ -178,6 +258,8 @@ TEST(PlanFootprints, PlanRestoredFromASnapshotRecomputesThem) {
               *Built.partition().Tasks[T].Footprint)
         << "task " << T;
   EXPECT_GT(expectOracleFootprints(Restored, P), 10u);
+  EXPECT_EQ(Restored.writtenSet(), Built.writtenSet());
+  expectNestWrittenSet(Restored, P);
 }
 
 /// Two-level MMM: strip-mined k tiles pair non-unit bounds

@@ -20,13 +20,19 @@
 #include "parallel/ParallelExecutor.h"
 #include "parallel/UndoLog.h"
 #include "programs/Benchmarks.h"
+#include "service/Engine.h"
 #include "support/Checksum.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,13 +71,6 @@ protected:
     ASSERT_TRUE(S.ok()) << S.diagnostic().str();
   }
 };
-
-bool hasDiag(const std::vector<Diagnostic> &Diags, DiagCode Code) {
-  for (const Diagnostic &D : Diags)
-    if (D.Code == Code)
-      return true;
-  return false;
-}
 
 /// True when some diag of \p Code has a message or note containing \p Sub.
 bool diagContains(const std::vector<Diagnostic> &Diags, DiagCode Code,
@@ -390,6 +389,130 @@ TEST_F(IntegrityTest, CorruptUndoUnderBlockVerifyNeedsNoPairedFault) {
     EXPECT_GE(Stats.Integrity.UndoRefused, 1u) << C.Label;
     EXPECT_EQ(Stats.Integrity.PristineReplays, 1u) << C.Label;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The pristine snapshot: the plan's written set, in a buffer the instance
+// keeps across runs
+//===----------------------------------------------------------------------===//
+
+/// Minor page faults this process has taken so far.
+long minorFaults() {
+  rusage Usage{};
+  getrusage(RUSAGE_SELF, &Usage);
+  return Usage.ru_minflt;
+}
+
+TEST_F(IntegrityTest, PristineSnapshotHoldsTheWrittenSetOnly) {
+  // MMM writes C alone: the snapshot is C's 32 x 32 doubles, none of A's
+  // or B's, and a run that verifies nothing takes no snapshot.
+  BenchSpec Spec = makeMatMul();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan = ParallelPlan::build(P, mmmC8(P), {32});
+  ASSERT_TRUE(Plan.parallelReady());
+  EXPECT_EQ(Plan.writtenSet(), (FootprintRuns{{0, 0, 32 * 32}}));
+  ProgramInstance Inst(P, {32});
+  Inst.fillRandom(4);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 2;
+  EXPECT_EQ(Plan.run(Inst, Opts).Integrity.PristineBytes,
+            32u * 32 * sizeof(double));
+  EXPECT_EQ(Inst.snapshotBuffer().size(), 32u * 32);
+  Opts.VerifyData = DataVerify::Off;
+  EXPECT_EQ(Plan.run(Inst, Opts).Integrity.PristineBytes, 0u);
+}
+
+TEST_F(IntegrityTest, InstanceCopiesLeaveTheSnapshotBufferBehind) {
+  BenchSpec Spec = makeMatMul();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan = ParallelPlan::build(P, mmmC8(P), {32});
+  ProgramInstance Inst(P, {32});
+  Inst.fillRandom(4);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 2;
+  Plan.run(Inst, Opts);
+  ASSERT_FALSE(Inst.snapshotBuffer().empty());
+
+  ProgramInstance Copy = Inst;
+  EXPECT_TRUE(Copy.bitwiseEqual(Inst));
+  EXPECT_TRUE(Copy.snapshotBuffer().empty());
+  ProgramInstance Assigned(P, {32});
+  Assigned = Inst;
+  EXPECT_TRUE(Assigned.bitwiseEqual(Inst));
+  EXPECT_TRUE(Assigned.snapshotBuffer().empty());
+}
+
+TEST_F(IntegrityTest, PristineReplayAfterWarmRunsRestoresThisRunsPreState) {
+  // Two clean verified runs leave the reused buffer holding an older
+  // pre-state. A third run whose corrupt undo log forces the pristine
+  // replay must restart from its own pre-state: bitwise equal to a serial
+  // run from there.
+  BenchSpec Spec = makeMatMul();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan = ParallelPlan::build(P, mmmC8(P), {32});
+  ASSERT_TRUE(Plan.parallelReady());
+  ProgramInstance Inst(P, {32});
+  Inst.fillRandom(6, 0.5, 1.5);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 4;
+  for (int Run = 0; Run < 2; ++Run)
+    ASSERT_EQ(Plan.run(Inst, Opts).Integrity.PristineReplays, 0u);
+  ProgramInstance Ref = Inst;
+  Plan.runSerial(Ref);
+
+  arm("seed=9;throw@block=2,count=1;corrupt-undo@block=2");
+  if (IsSkipped())
+    return;
+  ParallelRunStats Stats = Plan.run(Inst, Opts);
+  EXPECT_FALSE(Stats.Failed);
+  EXPECT_EQ(Stats.Integrity.PristineReplays, 1u);
+  EXPECT_TRUE(Ref.bitwiseEqual(Inst));
+}
+
+TEST_F(IntegrityTest, WarmVerifiedRunsFaultInNoSnapshotPages) {
+  // One Jacobi sweep at N=512: the written set is New's 510 x 510
+  // interior, about 500 pages. The first verified run sizes the
+  // instance's buffer; later runs copy into it without faulting it in, so
+  // a warm run's minor faults stay far below the snapshot's page count.
+  std::ifstream In(std::string(SHACKLE_SOURCE_DIR) +
+                   "/examples/dsl/jacobi2d.dsl");
+  std::stringstream Text;
+  Text << In.rdbuf();
+  ProgramSource Src;
+  Src.Dsl = Text.str();
+  Src.Array = "New";
+  Src.Blocks = {64, 64};
+  Expected<Resolved> R = resolveProgram(Src);
+  ASSERT_TRUE(R) << R.diagnostic().str();
+  const Program &P = *R.get().Prog;
+  ParallelPlan Plan = ParallelPlan::build(P, R.get().Chain, {512});
+  ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
+  ProgramInstance Inst(P, {512});
+  Inst.fillRandom(8);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 2;
+  ParallelRunStats Stats;
+  long Faults = 0;
+  const double *Buffer = nullptr;
+  for (int Run = 0; Run < 3; ++Run) {
+    const long Before = minorFaults();
+    Stats = Plan.run(Inst, Opts);
+    Faults = minorFaults() - Before;
+    if (Run == 0)
+      Buffer = Inst.snapshotBuffer().data();
+  }
+  EXPECT_EQ(Inst.snapshotBuffer().data(), Buffer);
+  EXPECT_EQ(Stats.Integrity.PristineBytes, 510u * 510 * sizeof(double));
+  const long Pages = static_cast<long>(Stats.Integrity.PristineBytes) /
+                     sysconf(_SC_PAGESIZE);
+  EXPECT_GE(Pages, 400);
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // The sanitizers' allocators hold freed memory back, so every run's undo
+  // logs land on fresh pages there and the count measures the allocator.
+  EXPECT_LT(Faults, Pages / 4) << "snapshot pages " << Pages;
+#else
+  (void)Faults;
+#endif
 }
 
 TEST_F(IntegrityTest, VerifyOffTrustsTheUndoLogAndMissesTheCorruption) {

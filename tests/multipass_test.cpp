@@ -46,8 +46,9 @@ TEST_P(SeidelMultiPass, CompletesAndMatchesOriginal) {
   // With T sweeps and blocks of B, the right edge of each block keeps a
   // t+1 instance waiting on the next block: more than one pass is needed
   // whenever the array spans several blocks and T > 1.
-  if (T > 1 && N - 2 > B)
+  if (T > 1 && N - 2 > B) {
     EXPECT_GT(R.Passes, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -399,9 +399,11 @@ TEST(Scheduler, DeadlineAbortsARunThatCannotFinishInTime) {
   EXPECT_GT(Done, 0u);
   EXPECT_LT(Done, N);
   // Chain: completion must be a prefix (failed tasks release no successors).
-  for (std::size_t T = 1; T < N; ++T)
-    if (Result.TaskDone[T])
+  for (std::size_t T = 1; T < N; ++T) {
+    if (Result.TaskDone[T]) {
       EXPECT_TRUE(Result.TaskDone[T - 1]) << "task " << T;
+    }
+  }
 }
 
 TEST(Scheduler, HandlesEmptyAndSingletonDags) {

@@ -177,9 +177,10 @@ TEST_P(FMProperty, ProjectionMatchesBruteForce) {
   // lost) always.
   for (int64_t A = -Box; A <= Box; ++A)
     for (int64_t B = -Box; B <= Box; ++B)
-      if (HasWitness(A, B))
+      if (HasWitness(A, B)) {
         EXPECT_TRUE(Proj.containsPoint({A, B}))
             << "lost (" << A << "," << B << ")";
+      }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FMProperty, ::testing::Range(1, 40));

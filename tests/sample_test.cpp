@@ -72,8 +72,9 @@ TEST_P(SampleProperty, AgreesWithOmegaWithinBox) {
   }
   auto Pt = sampleIntegerPoint(P, -4, 4);
   EXPECT_EQ(Pt.has_value(), !isIntegerEmpty(P));
-  if (Pt)
+  if (Pt) {
     EXPECT_TRUE(P.containsPoint(*Pt));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SampleProperty, ::testing::Range(1, 80));

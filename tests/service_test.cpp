@@ -444,6 +444,57 @@ TEST(ServicePlanCache, LruEvictsToPendingBlobAndRevives) {
   EXPECT_EQ(Rebuilds, 0u);
 }
 
+TEST(ServicePlanCache, ChargeCoversResidentFootprints) {
+  auto Spec = std::make_shared<BenchSpec>(makeMatMul());
+  std::shared_ptr<const Program> Prog(Spec, Spec->Prog.get());
+  ShackleChain Chain = mmmShackleC(*Prog, 8);
+
+  // Two keys that land in one shard (digest % 16, the cache's sharding).
+  std::vector<int64_t> Sizes;
+  std::vector<PlanKey> Keys;
+  for (int64_t First = 16; Keys.empty() && First < 64; ++First) {
+    PlanKey A = makePlanKey(*Prog, Chain, {First}, 0, {4, 1});
+    for (int64_t Second = First + 1; Second < 64; ++Second) {
+      PlanKey B = makePlanKey(*Prog, Chain, {Second}, 0, {4, 1});
+      if (A.digest() % 16 == B.digest() % 16) {
+        Sizes = {First, Second};
+        Keys = {A, B};
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(Keys.size(), 2u);
+
+  // A serialized plan carries no footprints; they are resident on top of
+  // it, so the charge is the blob plus footprintBytes().
+  uint64_t Blobs = 0, Resident = 0;
+  for (int64_t N : Sizes) {
+    ParallelPlan Plan = ParallelPlan::build(*Prog, Chain, {N});
+    ASSERT_TRUE(Plan.parallelReady());
+    ASSERT_GT(Plan.footprintBytes(), 0u);
+    const uint64_t Blob = serializePlan(Plan).size();
+    Blobs += Blob;
+    Resident += Blob + Plan.footprintBytes();
+  }
+
+  // A budget (per shard: --cache-bytes / 16) that fits both blobs but not
+  // what the two plans hold in memory evicts the older plan.
+  PlanCache Cache(/*MaxBytes=*/16 * Blobs);
+  for (std::size_t I = 0; I < Keys.size(); ++I) {
+    const int64_t N = Sizes[I];
+    PlanCache::Outcome O = Cache.getOrBuild(Keys[I], Prog, [&] {
+      return ParallelPlan::build(*Prog, Chain, {N});
+    });
+    ASSERT_NE(O.Plan, nullptr) << O.Error;
+  }
+  PlanCacheStats S = Cache.stats();
+  EXPECT_LT(Blobs, Resident);
+  EXPECT_EQ(S.Evictions, 1u);
+  EXPECT_EQ(S.Entries, 1u);
+  EXPECT_EQ(S.PendingBlobs, 1u);
+  EXPECT_LE(S.BytesInUse, Resident);
+}
+
 //===----------------------------------------------------------------------===//
 // Verdict cache: factor reuse
 //===----------------------------------------------------------------------===//

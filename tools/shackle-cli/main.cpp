@@ -622,6 +622,8 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
     if (Stats.Integrity.PristineReplays)
       std::printf(" pristine-replays=%llu",
                   ull(Stats.Integrity.PristineReplays));
+    if (Stats.Integrity.PristineBytes)
+      std::printf(" pristine-bytes=%llu", ull(Stats.Integrity.PristineBytes));
     std::printf("\n");
   }
   if (Stats.Failed) {
