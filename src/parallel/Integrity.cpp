@@ -17,14 +17,12 @@ using namespace shackle;
 
 const char *shackle::dataVerifyName(DataVerify V) {
   switch (V) {
-  case DataVerify::Off:
-    return "off";
   case DataVerify::Undo:
     return "undo";
   case DataVerify::Block:
     return "block";
   }
-  return "off";
+  return "undo";
 }
 
 namespace {

@@ -38,7 +38,9 @@
 /// when the undo log itself is untrustworthy) -> fail with provenance. That
 /// snapshot covers the plan's written set only — the union of its task
 /// footprints — and lives in a buffer the instance keeps across runs
-/// (capturePristine).
+/// (capturePristine). Every parallel run climbs this ladder; the only
+/// choice a run makes is whether to add shadow re-execution
+/// (DataVerify::Block).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,10 +59,9 @@ namespace shackle {
 
 /// How much data verification a run performs (--verify-data).
 enum class DataVerify {
-  Off,  ///< No checksums; the pre-integrity fast path.
-  Undo, ///< Checksum undo logs at capture; verify before every restore.
+  Undo,  ///< Checksum undo logs at capture; verify before every restore.
   Block, ///< Undo, plus commit a block only after two independent
-         ///< executions produce bit-identical footprints (paranoia).
+         ///< executions produce bit-identical footprints.
 };
 
 const char *dataVerifyName(DataVerify V);
@@ -83,7 +84,7 @@ struct IntegrityStats {
   /// Full serial replays from the pristine snapshot.
   uint64_t PristineReplays = 0;
   /// Bytes of written data the pristine snapshot holds (elements x 8; 0
-  /// when the run verified nothing).
+  /// when the plan was not parallel-ready).
   uint64_t PristineBytes = 0;
 };
 

@@ -217,19 +217,6 @@ uint64_t ParallelPlan::footprintBytes() const {
 }
 
 ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
-                                   unsigned NumThreads) const {
-  // The pre-fault-tolerance fast path: no undo snapshots, no watchdog, no
-  // data verification.
-  ParallelRunOptions Opts;
-  Opts.NumThreads = NumThreads;
-  Opts.UndoLog = false;
-  Opts.MaxRetries = 0;
-  Opts.VerifyData = DataVerify::Off;
-  Opts.PoisonCheck = false;
-  return run(Inst, Opts);
-}
-
-ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
                                    const ParallelRunOptions &Opts) const {
   assert(Inst.paramValues() == Params &&
          "instance parameters must match the plan");
@@ -264,48 +251,41 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   if (PerfOn)
     Perf.start();
 
-  if (!Ready) {
+  // Serial in-order execution of the whole nest, counted as one unit run in
+  // one piece: the plan is not parallel-ready, or the scheduler refused its
+  // graph (it re-validates and refuses without side effects, so the serial
+  // run is still a clean first execution).
+  auto serialFallback = [&] {
     runSerial(Inst);
     S.Mode = ParallelMode::SerialFallback;
     S.ThreadsUsed = 1;
     S.BlocksRun = Partition.OK ? Partition.Tasks.size() : 0;
     S.SegmentsRun = Partition.OK ? Partition.totalSegments() : 0;
-    S.Progress.TotalUnits = 1; // Unit = the whole nest, run in one piece.
+    S.Progress = ProgressLog{};
+    S.Progress.TotalUnits = 1;
     S.Progress.recordAttempt(1);
     finishHw();
     return S;
-  }
+  };
+  if (!Ready)
+    return serialFallback();
 
   const std::vector<BlockTask> &Tasks = Partition.Tasks;
   const std::size_t N = Tasks.size();
   S.Progress.TotalUnits = N;
 
-  // Data-integrity configuration (DESIGN.md §12). Verification and the
-  // poison guard both need the undo log: checksums and poison scans walk
-  // its footprint addresses, and quarantine needs rollback.
-  const DataVerify Verify =
-      Opts.UndoLog ? Opts.VerifyData : DataVerify::Off;
-  const bool PoisonOn = Opts.PoisonCheck && Opts.UndoLog;
-  S.VerifyUsed = Verify;
-
   // When restores can be refused (a corrupted undo log), the only sound
   // recovery is a whole-run restart, so snapshot the written set before any
   // block writes. One memcpy per run into the buffer the instance keeps,
   // the price of the last rung above "fail".
-  if (Verify != DataVerify::Off)
-    S.Integrity.PristineBytes =
-        capturePristine(Written, Inst) * sizeof(double);
+  S.Integrity.PristineBytes = capturePristine(Written, Inst) * sizeof(double);
 
-  // Placement: clamp the worker count exactly as the scheduler will, then
-  // split the lexicographic task order into one segment-weighted contiguous
-  // range per effective worker. Neighboring blocks share panel reuse by the
-  // data-centric construction, so a contiguous range is also a
-  // cache-coherent one.
-  const unsigned ReqThreads = Opts.NumThreads == 0 ? 1 : Opts.NumThreads;
-  const unsigned EffWorkers = static_cast<unsigned>(
-      std::min<std::size_t>(ReqThreads, N == 0 ? 1 : N));
-  const AffinityMap AMap = buildAffinityMap(Partition, EffWorkers);
-  const unsigned DomSize = detectDomainSize(EffWorkers);
+  // Placement: one segment-weighted contiguous range of the lexicographic
+  // task order per effective worker (the scheduler's clamp). Neighboring
+  // blocks share panel reuse by the data-centric construction, so a
+  // contiguous range is also a cache-coherent one.
+  const AffinityMap AMap = affinityMap(Opts.NumThreads);
+  const unsigned DomSize = detectDomainSize(AMap.NumWorkers);
   auto domainOf = [DomSize](unsigned W) { return W / DomSize; };
   std::atomic<uint64_t> BytesMigrated{0};
 
@@ -316,7 +296,6 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   std::vector<uint32_t> RetryCount(N, 0);
   std::atomic<uint64_t> Faults{0};
   std::atomic<uint64_t> SegmentsDone{0};
-  std::atomic<bool> Poisoned{false};
 
   // Native execution tier (DESIGN.md §15). Forced off under tracing: the
   // compiled kernels cannot emit per-access trace records, and a partially
@@ -444,67 +423,59 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
 
   // Snapshot + first attempt + up to MaxRetries rollback-and-retry rounds.
   // On false the block's footprint has been restored to its pre-attempt
-  // state (or Poisoned is set when undo logging is off), so the caller can
-  // replay it later without recapturing anything else. With a hierarchical
-  // plan the rollback granularity is the whole outer block: the undo log
-  // snapshots every element the task's segments (all inner levels
-  // included) can write, and a retry re-runs all of them.
+  // state (or the restore was refused and UndoCorrupted is set), so the
+  // caller can replay it later without recapturing anything else. With a
+  // hierarchical plan the rollback granularity is the whole outer block:
+  // the undo log snapshots every element the task's segments (all inner
+  // levels included) can write, and a retry re-runs all of them.
   //
   // The integrity ladder (DESIGN.md §12) hangs off the same loop. The undo
   // log is checksummed at capture and re-verified before every restore: a
   // mismatch (e.g. injected corrupt-undo) refuses the unsound restore and
   // flags UndoCorrupted, escalating the run to a full serial replay from
-  // the pristine snapshot. Under DataVerify::Block a block commits only
-  // after two executions from the same pre-state produce bit-identical
-  // footprints — a flipped bit in either one shows up as a checksum
-  // divergence, is rolled back, and recomputed. And when the poison guard
-  // is on, a non-finite value in the committed footprint quarantines the
-  // block and its downstream cone with exact provenance.
+  // the pristine snapshot. A non-finite value in the committed footprint
+  // quarantines the block and its downstream cone with exact provenance.
+  // Under DataVerify::Block a block commits only after two executions from
+  // the same pre-state produce bit-identical footprints — a flipped bit in
+  // either one shows up as a checksum divergence, is rolled back, and
+  // recomputed.
   auto attemptBlock = [&](uint32_t T, unsigned Worker,
                           bool AllowNative = true) {
-    BlockUndoLog Undo;
-    uint64_t UndoSum = 0;
-    if (Opts.UndoLog) {
-      // The footprint is the plan's, computed at build: no native code of
-      // any kind runs in the capture.
-      Undo = captureBlockUndo(Tasks[T], Inst);
-      if (Verify != DataVerify::Off)
-        UndoSum = checksumUndoLog(Undo);
-    }
+    // The footprint is the plan's, computed at build: no native code of any
+    // kind runs in the capture.
+    BlockUndoLog Undo = captureBlockUndo(Tasks[T], Inst);
+    const uint64_t UndoSum = checksumUndoLog(Undo);
     // The undo snapshot is exactly the block's write footprint, so it
     // doubles as the migration estimate: executing outside the home
     // worker's domain drags that many elements across domains.
-    if (Opts.UndoLog && domainOf(Worker) != domainOf(AMap.Home[T]))
+    if (domainOf(Worker) != domainOf(AMap.Home[T]))
       BytesMigrated.fetch_add(Undo.Entries.size() * sizeof(double),
                               std::memory_order_relaxed);
 
     // Verified rollback. The corrupt-undo injection site sits here — it
-    // mutates a saved pre-image the way a latent memory fault would,
-    // whether or not verification is on (detection must never be a
-    // precondition for the fault). False = the restore was refused.
+    // mutates a saved pre-image the way a latent memory fault would.
+    // False = the restore was refused.
     auto restoreVerified = [&]() {
       uint64_t Pick;
       if (!Undo.Entries.empty() && injectUndoCorrupt(T, Pick)) {
         double &V = Undo.Entries[Pick % Undo.Entries.size()];
         V = flipDoubleBit(V, static_cast<unsigned>(Pick >> 32));
       }
-      if (Verify != DataVerify::Off) {
-        if (checksumUndoLog(Undo) != UndoSum) {
-          NumCorruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-          NumUndoRefused.fetch_add(1, std::memory_order_relaxed);
-          UndoCorrupted.store(true, std::memory_order_relaxed);
-          Diagnostic D(DiagCode::ParallelFault,
-                       "undo log of " + blockName(T) +
-                           " failed checksum verification; refusing the "
-                           "unsound restore",
-                       {}, Severity::Error);
-          D.addNote("escalating to a full serial replay from the pristine "
-                    "input snapshot");
-          noteDiag(std::move(D));
-          return false;
-        }
-        NumChecksumsVerified.fetch_add(1, std::memory_order_relaxed);
+      if (checksumUndoLog(Undo) != UndoSum) {
+        NumCorruptionsDetected.fetch_add(1, std::memory_order_relaxed);
+        NumUndoRefused.fetch_add(1, std::memory_order_relaxed);
+        UndoCorrupted.store(true, std::memory_order_relaxed);
+        Diagnostic D(DiagCode::ParallelFault,
+                     "undo log of " + blockName(T) +
+                         " failed checksum verification; refusing the "
+                         "unsound restore",
+                     {}, Severity::Error);
+        D.addNote("escalating to a full serial replay from the pristine "
+                  "input snapshot");
+        noteDiag(std::move(D));
+        return false;
       }
+      NumChecksumsVerified.fetch_add(1, std::memory_order_relaxed);
       restoreBlockUndo(Undo, Inst);
       return true;
     };
@@ -551,8 +522,8 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
 
     // DataVerify::Block needs two agreeing executions even fault-free, so
     // it gets one extra attempt on top of the retry budget.
-    const unsigned Attempts = (Verify == DataVerify::Block ? 2 : 1) +
-                              (Opts.UndoLog ? Opts.MaxRetries : 0);
+    const unsigned Attempts =
+        (Opts.VerifyData == DataVerify::Block ? 2 : 1) + Opts.MaxRetries;
     bool HaveSum = false;
     uint64_t PrevSum = 0;
     unsigned FaultRetries = 0;
@@ -560,20 +531,11 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
       std::string Err;
       PoisonFinding Produced;
       bool RanNative = false;
-      if (!tryRunBlock(T, Worker, Err, PoisonOn ? &Produced : nullptr,
-                       AllowNative, &RanNative)) {
+      if (!tryRunBlock(T, Worker, Err, &Produced, AllowNative, &RanNative)) {
         Faults.fetch_add(1, std::memory_order_relaxed);
         Diagnostic D(DiagCode::ParallelFault,
                      blockName(T) + " failed: " + Err, {},
                      Severity::Warning);
-        if (!Opts.UndoLog) {
-          Poisoned.store(true, std::memory_order_relaxed);
-          D.Sev = Severity::Error;
-          D.addNote("undo logging disabled; block state cannot be rolled "
-                    "back");
-          noteDiag(std::move(D));
-          return false;
-        }
         if (A + 1 < Attempts) {
           ++RetryCount[T];
           ++FaultRetries;
@@ -626,95 +588,83 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
       // it — commit the interpreted result (bit-identical to serial) and
       // warn; an interpreter-clean result convicts the native execution of
       // silent corruption and the block is quarantined.
-      if (PoisonOn) {
-        if (!Produced.Found) {
-          PoisonFinding F = scanFootprintPoison(Undo, Inst);
-          if (F.Found && RanNative) {
-            OracleReruns.fetch_add(1, std::memory_order_relaxed);
+      if (!Produced.Found) {
+        PoisonFinding F = scanFootprintPoison(Undo, Inst);
+        if (F.Found && RanNative) {
+          OracleReruns.fetch_add(1, std::memory_order_relaxed);
+          if (!restoreVerified())
+            return false;
+          std::string OErr;
+          PoisonFinding OProduced;
+          if (!tryRunBlock(T, Worker, OErr, &OProduced,
+                           /*AllowNative=*/false, nullptr)) {
+            Faults.fetch_add(1, std::memory_order_relaxed);
+            noteDiag(Diagnostic(DiagCode::ParallelFault,
+                                blockName(T) +
+                                    " interpreter oracle re-run failed: " +
+                                    OErr,
+                                {}, Severity::Warning));
             if (!restoreVerified())
               return false;
-            std::string OErr;
-            PoisonFinding OProduced;
-            if (!tryRunBlock(T, Worker, OErr, &OProduced,
-                             /*AllowNative=*/false, nullptr)) {
-              Faults.fetch_add(1, std::memory_order_relaxed);
-              noteDiag(Diagnostic(DiagCode::ParallelFault,
-                                  blockName(T) +
-                                      " interpreter oracle re-run failed: " +
-                                      OErr,
-                                  {}, Severity::Warning));
-              if (!restoreVerified())
-                return false;
-              if (A + 1 < Attempts) {
-                ++RetryCount[T];
-                ++FaultRetries;
-                continue;
-              }
-              return false;
+            if (A + 1 < Attempts) {
+              ++RetryCount[T];
+              ++FaultRetries;
+              continue;
             }
-            if (!OProduced.Found) {
-              quarantine(F);
-              return false;
-            }
-            // Genuine numerical poison: the interpreter's committed result
-            // now sits in the footprint; fall through to the produced path.
-            Produced = OProduced;
-          } else if (F.Found) {
+            return false;
+          }
+          if (!OProduced.Found) {
             quarantine(F);
             return false;
           }
+          // Genuine numerical poison: the interpreter's committed result
+          // now sits in the footprint; fall through to the produced path.
+          Produced = OProduced;
+        } else if (F.Found) {
+          quarantine(F);
+          return false;
         }
-        if (Produced.Found) {
-          if (!ProducedWarned.exchange(true, std::memory_order_relaxed)) {
-            const ArrayDecl &Arr = Inst.program().getArray(Produced.ArrayId);
-            Diagnostic D(DiagCode::ParallelPoison,
-                         blockName(T) + " produced non-finite value " +
-                             std::to_string(Produced.Value) + " at " +
-                             Arr.Name + "[" +
-                             std::to_string(Produced.Offset) + "] (array " +
-                             std::to_string(Produced.ArrayId) + ")",
-                         {}, Severity::Warning);
-            D.addNote("stored by the block's own arithmetic: genuine "
-                      "numerical failure, not runtime corruption; the "
-                      "value is committed exactly as a serial run would");
-            D.addNote("first occurrence named; later ones are propagation");
-            noteDiag(std::move(D));
-          }
-        }
+      }
+      if (Produced.Found &&
+          !ProducedWarned.exchange(true, std::memory_order_relaxed)) {
+        const ArrayDecl &Arr = Inst.program().getArray(Produced.ArrayId);
+        Diagnostic D(DiagCode::ParallelPoison,
+                     blockName(T) + " produced non-finite value " +
+                         std::to_string(Produced.Value) + " at " + Arr.Name +
+                         "[" + std::to_string(Produced.Offset) + "] (array " +
+                         std::to_string(Produced.ArrayId) + ")",
+                     {}, Severity::Warning);
+        D.addNote("stored by the block's own arithmetic: genuine numerical "
+                  "failure, not runtime corruption; the value is committed "
+                  "exactly as a serial run would");
+        D.addNote("first occurrence named; later ones are propagation");
+        noteDiag(std::move(D));
       }
 
       // Shadow re-execution agreement: commit only after two consecutive
       // completed executions fingerprint identically.
-      if (Verify == DataVerify::Block) {
+      if (Opts.VerifyData == DataVerify::Block) {
         uint64_t Sum = checksumFootprint(Undo, Inst);
-        if (HaveSum && Sum == PrevSum) {
-          NumChecksumsVerified.fetch_add(1, std::memory_order_relaxed);
-          if (FaultRetries > 0)
+        if (!HaveSum || Sum != PrevSum) {
+          if (HaveSum) {
+            NumCorruptionsDetected.fetch_add(1, std::memory_order_relaxed);
+            ++RetryCount[T];
             noteDiag(Diagnostic(
                 DiagCode::ParallelFault,
-                blockName(T) + " recovered after " +
-                    std::to_string(FaultRetries) + " rollback retr" +
-                    (FaultRetries == 1 ? "y" : "ies"),
+                blockName(T) + " footprint checksums diverged between "
+                               "independent executions: silent data "
+                               "corruption detected; rolled back, recomputing",
                 {}, Severity::Warning));
-          return true;
+          }
+          HaveSum = true;
+          PrevSum = Sum;
+          if (A + 1 == Attempts)
+            break; // Unconfirmed single execution; refuse to commit below.
+          if (!restoreVerified())
+            return false;
+          continue;
         }
-        if (HaveSum) {
-          NumCorruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-          ++RetryCount[T];
-          noteDiag(Diagnostic(
-              DiagCode::ParallelFault,
-              blockName(T) + " footprint checksums diverged between "
-                             "independent executions: silent data "
-                             "corruption detected; rolled back, recomputing",
-              {}, Severity::Warning));
-        }
-        HaveSum = true;
-        PrevSum = Sum;
-        if (A + 1 == Attempts)
-          break; // Unconfirmed single execution; refuse to commit below.
-        if (!restoreVerified())
-          return false;
-        continue;
+        NumChecksumsVerified.fetch_add(1, std::memory_order_relaxed);
       }
 
       if (FaultRetries > 0)
@@ -729,7 +679,7 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     // Attempt budget exhausted. Under DataVerify::Block the last completed
     // execution may still be sitting in the footprint unconfirmed — never
     // commit data no second execution has vouched for.
-    if (Verify == DataVerify::Block && HaveSum) {
+    if (Opts.VerifyData == DataVerify::Block && HaveSum) {
       if (restoreVerified())
         noteDiag(Diagnostic(
             DiagCode::ParallelFault,
@@ -756,18 +706,8 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
   DagRunResult R = runTaskDagPartial(
       N, Graph.Succs, Graph.InDegree, DOpts,
       [&](uint32_t T, unsigned Worker) { return attemptBlock(T, Worker); });
-  if (R.Refused) {
-    // Defensive: runTaskDagPartial re-validates and refuses without side
-    // effects, so the serial path is still a clean first execution.
-    runSerial(Inst);
-    S.Mode = ParallelMode::SerialFallback;
-    S.ThreadsUsed = 1;
-    S.BlocksRun = N;
-    S.SegmentsRun = Partition.totalSegments();
-    S.Progress.recordAttempt(N);
-    finishHw();
-    return S;
-  }
+  if (R.Refused)
+    return serialFallback();
 
   S.ThreadsUsed = R.Stats.ThreadsUsed;
   S.Steals = R.Stats.Steals;
@@ -809,8 +749,6 @@ ParallelRunStats ParallelPlan::run(ProgramInstance &Inst,
     S.Retries = TotalRetries;
     if (AnyRetry)
       S.RetriesPerBlock = RetryCount;
-    if (Poisoned.load(std::memory_order_relaxed))
-      S.Failed = true;
     S.Integrity.ChecksumsVerified =
         NumChecksumsVerified.load(std::memory_order_relaxed);
     S.Integrity.CorruptionsDetected =

@@ -47,15 +47,16 @@
 /// bitwise-identical to serial. Only a block that fails every serial
 /// attempt too marks the run Failed.
 ///
-/// The data plane gets the same treatment (DESIGN.md §12): undo logs are
-/// checksummed at capture and verified before every restore (an unsound
-/// restore is refused and the run restarts serially from a pristine
-/// snapshot of the plan's written set); --verify-data=block commits a
-/// block only after two independent executions agree bit-for-bit, so a
-/// silent bit-flip is detected and recomputed; and a block that commits a
-/// non-finite value is quarantined with its downstream dependence cone and
-/// reported with exact provenance (ParallelPoison) instead of poisoning the
-/// results silently.
+/// The data plane gets the same treatment (DESIGN.md §12), on every
+/// parallel run: undo logs are checksummed at capture and verified before
+/// every restore (an unsound restore is refused and the run restarts
+/// serially from a pristine snapshot of the plan's written set); a block
+/// that commits a non-finite value is quarantined with its downstream
+/// dependence cone and reported with exact provenance (ParallelPoison)
+/// instead of poisoning the results silently; and --verify-data=block
+/// additionally commits a block only after two independent executions
+/// agree bit-for-bit, so a silent bit-flip is detected and recomputed.
+/// That shadow re-execution is the only integrity choice a run makes.
 ///
 /// Determinism: for every dependence edge u -> v the scheduler orders all
 /// of block u before all of block v, and instances inside a block run in
@@ -178,32 +179,24 @@ public:
 
 /// Per-run knobs for the self-healing execution path.
 struct ParallelRunOptions {
+  /// Worker threads (0 means 1).
   unsigned NumThreads = 1;
-  /// Snapshot each block's write footprint before running it so a failed
-  /// block can be rolled back and retried. Off = the pre-fault-tolerance
-  /// fast path (benchmarks): any task failure poisons the run.
-  bool UndoLog = true;
   /// Rollback-and-retry attempts per block (on top of the first attempt),
   /// applied independently in the parallel phase and the serial replay.
   unsigned MaxRetries = 2;
-  /// Data-verification level (needs UndoLog; silently Off without it).
-  /// Undo checksums every captured undo log and verifies it before any
-  /// restore. Block additionally commits a block only after two
-  /// executions from the same pre-state produce bit-identical footprints
-  /// — every block runs at least twice, the paranoia mode that catches
-  /// silent bit-flips in committed data.
+  /// Data-verification level. Every parallel run snapshots each block's
+  /// write footprint into a checksummed undo log, verifies it before any
+  /// restore, and quarantines blocks that commit a non-finite value. Block
+  /// additionally commits a block only after two executions from the same
+  /// pre-state produce bit-identical footprints — every block runs at
+  /// least twice, which catches silent bit-flips in committed data.
   DataVerify VerifyData = DataVerify::Undo;
-  /// Quarantine blocks that commit a non-finite value: report the first
-  /// poisoned element with exact provenance, roll the block back, and fail
-  /// the run with its downstream dependence cone named, instead of letting
-  /// the NaN/Inf propagate (needs UndoLog; off without it).
-  bool PoisonCheck = true;
   /// Abort the parallel phase this many ms after it starts (0 = none).
   uint64_t DeadlineMs = 0;
   /// Watchdog: abort the parallel phase when no block completes for this
-  /// many ms (0 = off). When the fault injector is armed and this is 0, a
-  /// conservative default is applied so injected stalls/deaths cannot hang
-  /// the run.
+  /// many ms (0 = off). When the fault injector is armed and this is 0,
+  /// run() applies 1000 ms so injected stalls/deaths cannot hang the run;
+  /// the CLI and the service both rely on that default.
   uint64_t StallTimeoutMs = 0;
   /// Per-worker memory-trace sinks, for cache simulation of the parallel
   /// traversal order: when non-null, segments executed by worker W trace
@@ -287,8 +280,8 @@ struct ParallelRunStats {
   unsigned NumDomains = 1;     ///< Locality domains the pool was split into.
   unsigned DomainSize = 0;     ///< Workers per domain after clamping.
   /// Estimated bytes of block write-footprint executed outside the home
-  /// worker's domain (undo-log entry counts x sizeof(double); 0 when undo
-  /// logging is off or the pool is a single domain).
+  /// worker's domain (undo-log entry counts x sizeof(double); 0 when the
+  /// pool is a single domain).
   uint64_t BytesMigrated = 0;
   /// Block-body failures caught (each rolled back via the undo log).
   uint64_t Faults = 0;
@@ -303,9 +296,6 @@ struct ParallelRunStats {
   bool Failed = false;
   /// Data-integrity telemetry (checksums, corruptions, quarantines).
   IntegrityStats Integrity;
-  /// Verification level the run actually used (Off when UndoLog was off,
-  /// whatever ParallelRunOptions::VerifyData asked for otherwise).
-  DataVerify VerifyUsed = DataVerify::Off;
   /// Blocks completed per attempt (parallel phase, then serial replay) —
   /// the same partial-progress ledger the multi-pass runtime keeps.
   ProgressLog Progress;
@@ -383,17 +373,15 @@ public:
   uint64_t footprintBytes() const;
 
   /// Executes the plan on \p Inst (whose parameter values must match) under
-  /// \p Opts: undo-logged blocks, rollback-and-retry on failure, watchdog
-  /// and deadline aborts, serial replay of the unfinished suffix after a
-  /// quiesce. Never throws and never hangs; see ParallelRunStats for what
-  /// happened. Falls back to serial in-order execution when the plan is
-  /// not parallel-ready.
+  /// \p Opts: undo-logged, checksummed, poison-scanned blocks,
+  /// rollback-and-retry on failure, watchdog and deadline aborts, serial
+  /// replay of the unfinished suffix after a quiesce, and a pristine
+  /// restart when an undo log fails verification. Never throws and never
+  /// hangs; see ParallelRunStats for what happened. Falls back to serial
+  /// in-order execution when the plan is not parallel-ready. The only way
+  /// to run a plan in parallel.
   ParallelRunStats run(ProgramInstance &Inst,
                        const ParallelRunOptions &Opts) const;
-
-  /// Fast-path overload (benchmarks, determinism tests): \p NumThreads
-  /// workers, undo logging off, no watchdog. Thread-count 0 means 1.
-  ParallelRunStats run(ProgramInstance &Inst, unsigned NumThreads) const;
 
   /// Serial reference execution of the same nest (always available).
   void runSerial(ProgramInstance &Inst) const { runLoopNest(CG.Nest, Inst); }

@@ -577,21 +577,3 @@ DagRunResult shackle::runTaskDagPartial(
                                  std::memory_order_relaxed));
   return Result;
 }
-
-bool shackle::runTaskDag(std::size_t NumTasks,
-                         const std::vector<std::vector<uint32_t>> &Succs,
-                         const std::vector<uint32_t> &InDegree,
-                         unsigned NumThreads, const TaskBody &Body,
-                         DagRunStats *Stats) {
-  DagRunOptions Opts;
-  Opts.NumThreads = NumThreads;
-  DagRunResult R = runTaskDagPartial(
-      NumTasks, Succs, InDegree, Opts,
-      [&Body](uint32_t T, unsigned W) {
-        Body(T, W);
-        return true;
-      });
-  if (Stats)
-    *Stats = R.Stats;
-  return !R.Refused && R.Completed;
-}

@@ -31,10 +31,11 @@
 /// release/acquire hand-off), so data written by u is visible to v without
 /// further synchronization.
 ///
-/// runTaskDagPartial adds the failure story: a body may report failure
-/// (return false or throw), a watchdog may observe a deadline or a global
-/// stall, and either event *quiesces* the run — every worker stops at its
-/// next loop iteration, no successor of an unfinished task is ever
+/// runTaskDagPartial is the one entry point, and it carries the failure
+/// story ParallelPlan::run builds its recovery ladder on: a body may report
+/// failure (return false or throw), a watchdog may observe a deadline or a
+/// global stall, and either event *quiesces* the run — every worker stops
+/// at its next loop iteration, no successor of an unfinished task is ever
 /// released, and the per-task completion map comes back so the caller can
 /// replay exactly the unfinished suffix. Failed or abandoned tasks never
 /// release successors, so everything a completed task wrote is exactly what
@@ -83,10 +84,6 @@ struct DagRunStats {
   unsigned DomainSizeUsed = 0;  ///< Workers per domain after clamping.
 };
 
-/// Task body: called at most once per task, with the task id and the index
-/// of the worker executing it.
-using TaskBody = std::function<void(uint32_t Task, unsigned Worker)>;
-
 /// Failable task body: returns false (or throws anything) to report that
 /// the task did not complete; its successors are then never released and
 /// the run aborts with DagAbort::TaskFailed.
@@ -134,14 +131,6 @@ DagRunResult runTaskDagPartial(std::size_t NumTasks,
                                const std::vector<uint32_t> &InDegree,
                                const DagRunOptions &Opts,
                                const FailableTaskBody &Body);
-
-/// All-or-nothing convenience wrapper (the pre-fault-tolerance interface):
-/// returns false — without running anything — if the graph is cyclic or
-/// InDegree is inconsistent with Succs; returns true after all tasks ran.
-bool runTaskDag(std::size_t NumTasks,
-                const std::vector<std::vector<uint32_t>> &Succs,
-                const std::vector<uint32_t> &InDegree, unsigned NumThreads,
-                const TaskBody &Body, DagRunStats *Stats = nullptr);
 
 } // namespace shackle
 

@@ -221,20 +221,31 @@ TEST_F(ChaosTest, RetryExhaustionDegradesToSerialReplay) {
   EXPECT_TRUE(hasDiag(Stats.Diags, DiagCode::ParallelDegrade));
 }
 
-TEST_F(ChaosTest, UndoLogOffMarksRunFailedInsteadOfLyingAboutResults) {
-  arm("seed=5;throw@block=0,count=1");
+TEST_F(ChaosTest, BlockFailingEveryAttemptIncludingReplayFailsTheRun) {
+  // The ladder's last control-flow rung: block 2 throws on both parallel
+  // attempts (first + one retry) and on both serial-replay attempts, so the
+  // run reports Failed with the error diagnostic instead of a result.
+  arm("seed=5;throw@block=2,count=4");
   BenchSpec Spec = makeMatMul();
   const Program &P = *Spec.Prog;
-  ParallelPlan Plan = ParallelPlan::build(P, mmmShackleC(P, 8), {16});
+  ParallelPlan Plan = ParallelPlan::build(P, mmmShackleC(P, 8), {32});
   ASSERT_TRUE(Plan.parallelReady());
-  ProgramInstance Inst(P, {16});
+  ProgramInstance Inst(P, {32});
   Inst.fillRandom(3, 0.0, 1.0);
   ParallelRunOptions Opts;
-  Opts.NumThreads = 2;
-  Opts.UndoLog = false; // The benchmark fast path: no recovery.
+  Opts.NumThreads = 4;
+  Opts.MaxRetries = 1;
   ParallelRunStats Stats = Plan.run(Inst, Opts);
   EXPECT_TRUE(Stats.Failed);
-  EXPECT_TRUE(hasDiag(Stats.Diags, DiagCode::ParallelFault));
+  EXPECT_EQ(Stats.Mode, ParallelMode::Degraded);
+  EXPECT_EQ(Stats.Faults, 4u);
+  bool SawFailedEverywhere = false;
+  for (const Diagnostic &D : Stats.Diags)
+    SawFailedEverywhere |=
+        D.Code == DiagCode::ParallelFault && D.Sev == Severity::Error &&
+        D.Message.find("failed every attempt including serial replay") !=
+            std::string::npos;
+  EXPECT_TRUE(SawFailedEverywhere);
 }
 
 //===----------------------------------------------------------------------===//
@@ -579,7 +590,9 @@ TEST_F(ChaosTest, SolverUnknownPoisonsGraphIntoSerialFallback) {
     V += 1.0;
   Par.buffer(0) = Ref.buffer(0);
   Plan.runSerial(Ref);
-  ParallelRunStats Stats = Plan.run(Par, 4);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Par, Opts);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
 }
@@ -606,6 +619,14 @@ TEST_F(ChaosTest, CliChaosDegradeStillExitsZeroAndVerifies) {
   EXPECT_NE(Out.find("[parallel-degrade]"), std::string::npos) << Out;
   EXPECT_NE(Out.find("mode=degraded"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
+}
+
+TEST_F(ChaosTest, CliBlockFailingEveryAttemptExitsOneAsUnreliable) {
+  auto [Rc, Out] =
+      runCli("run matmul c --params=32 --block=8 --threads=4 --max-retries=1 "
+             "--inject='seed=5;throw@block=2,count=4'");
+  EXPECT_EQ(Rc, 1) << Out;
+  EXPECT_NE(Out.find("results are unreliable"), std::string::npos) << Out;
 }
 
 TEST_F(ChaosTest, CliHierarchicalChaosRunRecoversAtOuterGranularity) {

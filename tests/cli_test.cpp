@@ -160,19 +160,23 @@ TEST(Cli, RunRejectsMalformedInjectSpecWithExit2AndColumn) {
 }
 
 TEST(Cli, RunRejectsMalformedVerifyData) {
-  auto [Rc, Out] = runCli("run matmul c --params=16 --verify-data=banana");
-  EXPECT_EQ(Rc, 1) << Out;
-  EXPECT_NE(Out.find("usage-error"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("--verify-data"), std::string::npos) << Out;
+  // 'off' is no level: every parallel run takes the integrity ladder.
+  for (const char *Level : {"banana", "off"}) {
+    auto [Rc, Out] = runCli(
+        std::string("run matmul c --params=16 --verify-data=") + Level);
+    EXPECT_EQ(Rc, 1) << Level << "\n" << Out;
+    EXPECT_NE(Out.find("usage-error"), std::string::npos) << Out;
+    EXPECT_NE(Out.find("--verify-data"), std::string::npos) << Out;
+  }
 }
 
 TEST(Cli, RejectsUnknownFlags) {
   // A misspelt flag must never run silently with its default; neither may
-  // a flag of a policy the runtime no longer has.
+  // a flag of a policy the runtime no longer has, nor a removed alias.
   for (const char *Flag :
        {"--threds=2", "--placement=round-robin", "--domain-size=2",
         "--steal-remote-after=0", "--random-steal", "--steal-seed=7",
-        "--first-touch"}) {
+        "--first-touch", "--paranoia"}) {
     auto [Rc, Out] =
         runCli(std::string("run matmul c --block=16 --params=48 ") + Flag);
     std::string Name(Flag, std::strcspn(Flag, "="));

@@ -278,7 +278,9 @@ TEST(HierarchyCaps, MaxTasksOverflowFallsBackToSerial) {
   ProgramInstance Par(P, {16}), Ser(P, {16});
   Par.fillRandom(9, 0.5, 1.5);
   Ser = Par;
-  ParallelRunStats Stats = Plan.run(Par, 4);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Par, RunOpts);
   Plan.runSerial(Ser);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_FALSE(Stats.Failed);
@@ -300,7 +302,9 @@ TEST(HierarchyCaps, MaxPairVisitsOverflowFallsBackToSerial) {
   ProgramInstance Par(P, {16}), Ser(P, {16});
   Par.fillRandom(13, 0.5, 1.5);
   Ser = Par;
-  ParallelRunStats Stats = Plan.run(Par, 4);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Par, RunOpts);
   Plan.runSerial(Ser);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_TRUE(Par.bitwiseEqual(Ser));

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <numeric>
@@ -153,7 +154,7 @@ TEST(ChaseLevDeque, GrowthMidStealKeepsEveryItemExactlyOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// runTaskDag
+// Scheduler (runTaskDagPartial)
 //===----------------------------------------------------------------------===//
 
 /// Records a global completion order and verifies every edge afterwards.
@@ -185,6 +186,24 @@ std::vector<uint32_t> inDegreesOf(std::size_t N,
   return D;
 }
 
+/// Runs \p Body on every task through runTaskDagPartial (bodies always
+/// succeed); true when the graph was accepted and every task completed.
+bool runAll(std::size_t N, const std::vector<std::vector<uint32_t>> &Succs,
+            const std::vector<uint32_t> &InDegree, unsigned Threads,
+            const std::function<void(uint32_t, unsigned)> &Body,
+            DagRunStats *Stats = nullptr) {
+  DagRunOptions Opts;
+  Opts.NumThreads = Threads;
+  DagRunResult R = runTaskDagPartial(N, Succs, InDegree, Opts,
+                                     [&Body](uint32_t T, unsigned W) {
+                                       Body(T, W);
+                                       return true;
+                                     });
+  if (Stats)
+    *Stats = R.Stats;
+  return !R.Refused && R.Completed;
+}
+
 TEST(Scheduler, RunsChainInOrderEveryThreadCount) {
   const std::size_t N = 64;
   std::vector<std::vector<uint32_t>> Succs(N);
@@ -193,7 +212,7 @@ TEST(Scheduler, RunsChainInOrderEveryThreadCount) {
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     OrderRecorder R;
     DagRunStats Stats;
-    ASSERT_TRUE(runTaskDag(
+    ASSERT_TRUE(runAll(
         N, Succs, inDegreesOf(N, Succs), Threads,
         [&](uint32_t T, unsigned) { R.record(T); }, &Stats));
     EXPECT_EQ(R.Order.size(), N);
@@ -212,8 +231,8 @@ TEST(Scheduler, RunsDiamondAndWideFanOut) {
   }
   for (unsigned Threads : {1u, 3u, 8u}) {
     OrderRecorder R;
-    ASSERT_TRUE(runTaskDag(N, Succs, inDegreesOf(N, Succs), Threads,
-                           [&](uint32_t T, unsigned) { R.record(T); }));
+    ASSERT_TRUE(runAll(N, Succs, inDegreesOf(N, Succs), Threads,
+                       [&](uint32_t T, unsigned) { R.record(T); }));
     ASSERT_EQ(R.Order.size(), N);
     EXPECT_EQ(R.Order.front(), 0u);
     EXPECT_EQ(R.Order.back(), N - 1);
@@ -244,8 +263,8 @@ TEST(Scheduler, RunsLayeredRandomishDag) {
     }
   for (unsigned Threads : {1u, 4u, 8u}) {
     OrderRecorder R;
-    ASSERT_TRUE(runTaskDag(N, Succs, inDegreesOf(N, Succs), Threads,
-                           [&](uint32_t T, unsigned) { R.record(T); }));
+    ASSERT_TRUE(runAll(N, Succs, inDegreesOf(N, Succs), Threads,
+                       [&](uint32_t T, unsigned) { R.record(T); }));
     EXPECT_EQ(R.Order.size(), N);
     EXPECT_TRUE(R.respects(Succs));
   }
@@ -254,8 +273,8 @@ TEST(Scheduler, RunsLayeredRandomishDag) {
 TEST(Scheduler, RefusesCyclesWithoutRunningAnything) {
   std::vector<std::vector<uint32_t>> Succs = {{1}, {2}, {0}};
   std::atomic<int> Ran{0};
-  EXPECT_FALSE(runTaskDag(3, Succs, inDegreesOf(3, Succs), 4,
-                          [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
+  EXPECT_FALSE(runAll(3, Succs, inDegreesOf(3, Succs), 4,
+                      [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
   EXPECT_EQ(Ran.load(), 0);
 }
 
@@ -263,8 +282,8 @@ TEST(Scheduler, RefusesInconsistentInDegrees) {
   std::vector<std::vector<uint32_t>> Succs = {{1}, {}};
   std::vector<uint32_t> Wrong = {0, 0}; // Node 1 really has in-degree 1.
   std::atomic<int> Ran{0};
-  EXPECT_FALSE(runTaskDag(2, Succs, Wrong, 2,
-                          [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
+  EXPECT_FALSE(runAll(2, Succs, Wrong, 2,
+                      [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
   EXPECT_EQ(Ran.load(), 0);
 }
 
@@ -280,7 +299,7 @@ TEST(Scheduler, WideFanOutForcesDequeGrowthUnderContention) {
   for (auto &R : Ran)
     R.store(0);
   DagRunStats Stats;
-  ASSERT_TRUE(runTaskDag(
+  ASSERT_TRUE(runAll(
       N, Succs, inDegreesOf(N, Succs), 8,
       [&](uint32_t T, unsigned) { Ran[T].fetch_add(1); }, &Stats));
   EXPECT_EQ(Stats.TasksRun, N);
@@ -310,7 +329,7 @@ TEST(Scheduler, WavefrontNarrowWideAlternationParksAndWakesCleanly) {
   }
   OrderRecorder R;
   DagRunStats Stats;
-  ASSERT_TRUE(runTaskDag(
+  ASSERT_TRUE(runAll(
       N, Succs, inDegreesOf(N, Succs), 8,
       [&](uint32_t T, unsigned) { R.record(T); }, &Stats));
   EXPECT_EQ(R.Order.size(), N);
@@ -407,10 +426,10 @@ TEST(Scheduler, DeadlineAbortsARunThatCannotFinishInTime) {
 }
 
 TEST(Scheduler, HandlesEmptyAndSingletonDags) {
-  EXPECT_TRUE(runTaskDag(0, {}, {}, 4, [](uint32_t, unsigned) {}));
+  EXPECT_TRUE(runAll(0, {}, {}, 4, [](uint32_t, unsigned) {}));
   std::atomic<int> Ran{0};
-  EXPECT_TRUE(runTaskDag(1, {{}}, {0}, 8,
-                         [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
+  EXPECT_TRUE(runAll(1, {{}}, {0}, 8,
+                     [&](uint32_t, unsigned) { Ran.fetch_add(1); }));
   EXPECT_EQ(Ran.load(), 1);
 }
 
@@ -575,7 +594,9 @@ void expectDeterministic(const BenchSpec &Spec, const ShackleChain &Chain,
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
     for (unsigned Rep = 0; Rep < Repeats; ++Rep) {
       ProgramInstance Par = Init;
-      ParallelRunStats Stats = Plan.run(Par, Threads);
+      ParallelRunOptions Opts;
+      Opts.NumThreads = Threads;
+      ParallelRunStats Stats = Plan.run(Par, Opts);
       EXPECT_TRUE(Ref.bitwiseEqual(Par))
           << Spec.Name << " threads=" << Threads << " rep=" << Rep
           << " mode=" << parallelModeName(Stats.Mode);
@@ -620,7 +641,9 @@ TEST(ParallelPlan, MatMulParallelSpeedupInstrumentation) {
   EXPECT_EQ(Plan.graph().NumEdges, 0u);
   ProgramInstance Inst(P, {32});
   Inst.fillRandom(3, 0.0, 1.0);
-  ParallelRunStats Stats = Plan.run(Inst, 4);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Inst, Opts);
   EXPECT_EQ(Stats.Mode, ParallelMode::Parallel);
   EXPECT_EQ(Stats.BlocksRun, 16u);
   EXPECT_LE(Stats.ThreadsUsed, 4u);
@@ -645,7 +668,9 @@ TEST(ParallelPlan, IllegalShackleFallsBackToSerialAndStaysCorrect) {
   Ref.fillRandom(5, 0.0, 1.0);
   Par.buffer(0) = Ref.buffer(0);
   runLoopNest(generateOriginalCode(P), Ref);
-  ParallelRunStats Stats = Plan.run(Par, 8);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 8;
+  ParallelRunStats Stats = Plan.run(Par, Opts);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
 }
@@ -669,7 +694,9 @@ TEST(ParallelPlan, TinySolverBudgetFallsBackAcrossTheTierBoundary) {
     V += 1.0;
   Par.buffer(0) = Ref.buffer(0);
   runLoopNest(generateOriginalCode(P), Ref);
-  ParallelRunStats Stats = Plan.run(Par, 4);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Par, RunOpts);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
 }
@@ -694,7 +721,9 @@ TEST(ParallelPlan, EdgeCapHitKeepsTheProvenTierButRunsSerially) {
     V += 1.0;
   Par.buffer(0) = Ref.buffer(0);
   Plan.runSerial(Ref);
-  ParallelRunStats Stats = Plan.run(Par, 4);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 4;
+  ParallelRunStats Stats = Plan.run(Par, RunOpts);
   EXPECT_EQ(Stats.Mode, ParallelMode::SerialFallback);
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
 }
@@ -708,7 +737,9 @@ TEST(ParallelPlan, ZeroThreadsMeansOne) {
   A.fillRandom(9, 0.0, 1.0);
   for (unsigned Arr = 0; Arr < 3; ++Arr)
     B.buffer(Arr) = A.buffer(Arr);
-  ParallelRunStats SA = Plan.run(A, 0);
+  ParallelRunOptions Opts;
+  Opts.NumThreads = 0;
+  ParallelRunStats SA = Plan.run(A, Opts);
   Plan.runSerial(B);
   EXPECT_EQ(SA.ThreadsUsed, 1u);
   EXPECT_TRUE(A.bitwiseEqual(B));

@@ -256,8 +256,10 @@ TEST(ServiceSerdes, RoundTripExecutesBitwiseIdentical) {
   ProgramInstance A(P, {48}), B(P, {48});
   A.fillRandom(1, 0.5, 1.5);
   B.fillRandom(1, 0.5, 1.5);
-  Built.run(A, 2);
-  Revived.run(B, 2);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 2;
+  Built.run(A, RunOpts);
+  Revived.run(B, RunOpts);
   EXPECT_TRUE(A.bitwiseEqual(B));
 }
 
@@ -570,8 +572,10 @@ TEST(ServiceVerdicts, KnownIllegalSkipsTheSolverEntirely) {
   ProgramInstance X(P, {24}), Y(P, {24});
   X.fillRandom(1, 0.5, 1.5);
   Y.fillRandom(1, 0.5, 1.5);
-  Plan.run(X, 2);
-  Fresh.run(Y, 2);
+  ParallelRunOptions RunOpts;
+  RunOpts.NumThreads = 2;
+  Plan.run(X, RunOpts);
+  Fresh.run(Y, RunOpts);
   EXPECT_TRUE(X.bitwiseEqual(Y));
 }
 

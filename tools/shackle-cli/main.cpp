@@ -77,7 +77,7 @@ int usage() {
       "      [--task-level=K|auto] [--verify] [--plan-cache=PATH]\n"
       "      [--max-retries=N] [--deadline-ms=N] [--stall-ms=N]\n"
       "      [--inject=SPEC] [--perf]\n"
-      "      [--verify-data=off|undo|block] [--paranoia]\n"
+      "      [--verify-data=undo|block]\n"
       "      [--native=off|task] [--native-cxx=PATH]\n"
       "      [--native-microblas=on|off] [--native-simd=off|avx2|avx512|auto]\n"
       "      (parallel block execution on the pipeline `shackle serve`\n"
@@ -282,7 +282,7 @@ const std::vector<std::string> *commandFlags(const std::string &Cmd) {
       {"run",
        {"params", "threads", "task-level", "verify", "plan-cache",
         "max-retries", "deadline-ms", "stall-ms", "inject", "perf",
-        "verify-data", "paranoia", "native", "native-cxx",
+        "verify-data", "native", "native-cxx",
         "native-microblas", "native-simd"}},
       {"serve",
        {"socket", "snapshot", "cache-bytes", "threads", "max-inflight",
@@ -440,21 +440,14 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
   setFlag(Argc, Argv, "threads", 1, RunOpts.NumThreads);
   setFlag(Argc, Argv, "max-retries", 0, RunOpts.MaxRetries);
   setFlag(Argc, Argv, "deadline-ms", 0, RunOpts.DeadlineMs);
-  // Default a stall watchdog on whenever faults are armed, so that an
-  // injected worker stall or death degrades instead of hanging the run.
-  RunOpts.StallTimeoutMs = InjectSpec.empty() ? 0 : 250;
   setFlag(Argc, Argv, "stall-ms", 0, RunOpts.StallTimeoutMs);
   std::string VerifyData = flagString(Argc, Argv, "verify-data", "undo");
-  if (VerifyData == "off")
-    RunOpts.VerifyData = DataVerify::Off;
-  else if (VerifyData == "undo")
+  if (VerifyData == "undo")
     RunOpts.VerifyData = DataVerify::Undo;
   else if (VerifyData == "block")
     RunOpts.VerifyData = DataVerify::Block;
   else
-    return badFlag("--verify-data", "'off', 'undo', or 'block'", VerifyData);
-  if (hasFlag(Argc, Argv, "paranoia"))
-    RunOpts.VerifyData = DataVerify::Block;
+    return badFlag("--verify-data", "'undo' or 'block'", VerifyData);
   RunOpts.HwCounters = hasFlag(Argc, Argv, "perf");
 
   // Native tier selection (DESIGN.md §15). 'task' compiles one kernel per
@@ -610,10 +603,10 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
       std::printf("  %s #%zu: %u retr%s\n", Outer ? "outer task" : "block",
                   B, Stats.RetriesPerBlock[B],
                   Stats.RetriesPerBlock[B] == 1 ? "y" : "ies");
-  if (Stats.VerifyUsed != DataVerify::Off || Stats.Integrity.PoisonedBlocks) {
+  if (Stats.Mode != ParallelMode::SerialFallback) {
     std::printf("integrity: verify-data=%s checksums-verified=%llu "
                 "corruptions-detected=%llu poisoned-blocks=%llu",
-                dataVerifyName(Stats.VerifyUsed),
+                dataVerifyName(Req.Run.VerifyData),
                 ull(Stats.Integrity.ChecksumsVerified),
                 ull(Stats.Integrity.CorruptionsDetected),
                 ull(Stats.Integrity.PoisonedBlocks));
@@ -740,7 +733,7 @@ std::string unknownFlag(const std::string &Action, bool Dsl, int Argc,
 /// other flag takes a value its command checks.
 std::string checkFlagValues(int Argc, char **Argv) {
   static const std::set<std::string> Switches = {
-      "verify", "perf", "paranoia", "strict", "naive", "reversed"};
+      "verify", "perf", "strict", "naive", "reversed"};
   static const std::set<std::string> Integers = {
       "eval", "threads", "max-retries", "deadline-ms", "stall-ms",
       "solver-budget", "cache-bytes", "max-inflight", "queue-depth",
