@@ -99,7 +99,7 @@ unsigned ShackleChain::numBlockDimsPrefix(unsigned NumFactors) const {
 std::vector<std::string> ShackleChain::blockDimNames() const {
   std::vector<std::string> Names;
   for (unsigned I = 0, E = numBlockDims(); I < E; ++I)
-    Names.push_back("b" + std::to_string(I + 1));
+    Names.push_back(std::string("b").append(std::to_string(I + 1)));
   return Names;
 }
 
@@ -208,7 +208,7 @@ std::string shackle::describeChain(const Program &P,
           Normal += "+";
         if (PS.Normal[D] != 1)
           Normal += std::to_string(PS.Normal[D]) + "*";
-        Normal += "d" + std::to_string(D);
+        Normal.append("d").append(std::to_string(D));
       }
       if (Axis && Normal == "d0")
         Out += "rows";

@@ -238,9 +238,9 @@ Expected<LoopNest> shackle::generateShackledCodeChecked(
   Space.DimNames.push_back("c0");
   Space.IsSchedule.push_back(true);
   for (unsigned K = 1; K <= MaxDepth; ++K) {
-    Space.DimNames.push_back("t" + std::to_string(K));
+    Space.DimNames.push_back(std::string("t").append(std::to_string(K)));
     Space.IsSchedule.push_back(false);
-    Space.DimNames.push_back("c" + std::to_string(K));
+    Space.DimNames.push_back(std::string("c").append(std::to_string(K)));
     Space.IsSchedule.push_back(true);
   }
   unsigned NumDims = Space.numDims();

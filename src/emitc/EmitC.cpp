@@ -7,11 +7,13 @@
 
 #include "emitc/EmitC.h"
 
+#include "emitc/Interchange.h"
 #include "support/ErrorHandling.h"
 #include "support/Writer.h"
 
 #include <cassert>
 #include <cstdio>
+#include <unordered_map>
 
 using namespace shackle;
 
@@ -187,9 +189,12 @@ private:
 };
 
 /// Emission context: whether dense triple loops may be routed through the
-/// native gemm hook.
+/// native gemm hook, which loop pairs to emit interchanged, and how many
+/// were.
 struct EmitCtx {
   bool GemmHooks = false;
+  const InterchangeMap *Swaps;
+  unsigned *Reordered;
 };
 
 /// A matched dense rectangular loop nest computing C += A * B. The three
@@ -527,7 +532,8 @@ std::string strideExpr(const ArrayRef &R, const Program &P, const Stmt &S,
     if (C == 0)
       continue;
     std::string Term =
-        C == 1 ? Axis[Pos] : "(" + std::to_string(C) + ")*" + Axis[Pos];
+        C == 1 ? "" : std::string("(").append(std::to_string(C)).append(")*");
+    Term += Axis[Pos];
     Out = Out.empty() ? Term : Out + " + " + Term;
   }
   return Out.empty() ? "0" : Out;
@@ -603,6 +609,17 @@ void emitGemmCall(const ASTNode &N, const GemmMatch &M, const LoopNest &Nest,
   W.line("}");
 }
 
+/// Opens  for (Dim = max(Lbs) .. min(Ubs)) {  and indents.
+void emitLoopHeader(Writer &W, const std::string &V,
+                    const std::vector<BoundExpr> &Lbs,
+                    const std::vector<BoundExpr> &Ubs,
+                    const std::vector<std::string> &Dims) {
+  W.line("for (int64_t " + V + " = " + cBoundList(Lbs, Dims, true) + ", " + V +
+         "_ub = " + cBoundList(Ubs, Dims, false) + "; " + V + " <= " + V +
+         "_ub; ++" + V + ") {");
+  W.indent();
+}
+
 void emitNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
               Writer &W, const EmitCtx &Ctx, bool TryGemm) {
   const std::vector<std::string> &Dims = Nest.DimNames;
@@ -615,11 +632,23 @@ void emitNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
         return;
       }
     }
-    std::string V = Dims[N.Dim];
-    W.line("for (int64_t " + V + " = " + cBoundList(N.Lbs, Dims, true) +
-           ", " + V + "_ub = " + cBoundList(N.Ubs, Dims, false) + "; " + V +
-           " <= " + V + "_ub; ++" + V + ") {");
-    W.indent();
+    const auto Swap = Ctx.Swaps->find(&N);
+    if (Swap != Ctx.Swaps->end()) {
+      // The pair's inner loop runs outside, its instances inside both.
+      const ASTNode &Inner = *N.Body[0];
+      const Interchange &X = Swap->second;
+      emitLoopHeader(W, Dims[Inner.Dim], X.OuterLbs, X.OuterUbs, Dims);
+      emitLoopHeader(W, Dims[N.Dim], X.InnerLbs, X.InnerUbs, Dims);
+      for (const ASTNodePtr &C : Inner.Body)
+        emitNode(*C, Nest, SE, W, Ctx);
+      for (int Level = 0; Level < 2; ++Level) {
+        W.dedent();
+        W.line("}");
+      }
+      ++*Ctx.Reordered;
+      return;
+    }
+    emitLoopHeader(W, Dims[N.Dim], N.Lbs, N.Ubs, Dims);
     for (const ASTNodePtr &C : N.Body)
       emitNode(*C, Nest, SE, W, Ctx);
     W.dedent();
@@ -684,7 +713,9 @@ std::string shackle::emitKernel(const LoopNest &Nest,
   W.line("(void)arrays; (void)params;");
 
   StmtEmitter SE(P, Nest.DimNames);
-  EmitCtx Ctx;
+  const InterchangeMap Swaps = planInterchanges(Nest);
+  unsigned Reordered = 0;
+  EmitCtx Ctx{/*GemmHooks=*/false, &Swaps, &Reordered};
   for (const ASTNodePtr &N : Nest.Roots)
     emitNode(*N, Nest, SE, W, Ctx);
   W.dedent();
@@ -728,11 +759,13 @@ void emitDimBindings(Writer &W, const LoopNest &Nest, const Program &P,
              std::to_string(V) + "]; (void)" + P.getVarName(V) + ";");
 }
 
-} // namespace
-
-std::string shackle::emitNativeTaskKernel(
-    const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
-    const std::string &Name, const NativeEmitOptions &Opts) {
+/// emitNativeTaskKernel with the nest's interchanges planned; adds the
+/// pairs it emits interchanged to \p Reordered.
+std::string emitTaskKernel(const LoopNest &Nest,
+                           const std::vector<const ASTNode *> &Roots,
+                           const std::string &Name,
+                           const NativeEmitOptions &Opts,
+                           const InterchangeMap &Swaps, unsigned &Reordered) {
   const Program &P = *Nest.Prog;
   Writer W;
   W.line("extern \"C\" void " + Name +
@@ -758,8 +791,7 @@ std::string shackle::emitNativeTaskKernel(
     W.indent();
     W.line("const int64_t *_shk_d = dims + _shk_s * " + ND + ";");
     emitDimBindings(W, Nest, P, "_shk_d");
-    EmitCtx Ctx;
-    Ctx.GemmHooks = Opts.GemmHooks;
+    EmitCtx Ctx{Opts.GemmHooks, &Swaps, &Reordered};
     W.line("{");
     W.indent();
     emitNode(*R.Root, Nest, SE, W, Ctx);
@@ -773,9 +805,20 @@ std::string shackle::emitNativeTaskKernel(
   return W.str();
 }
 
+} // namespace
+
+std::string shackle::emitNativeTaskKernel(
+    const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
+    const std::string &Name, const NativeEmitOptions &Opts) {
+  unsigned Reordered = 0;
+  return emitTaskKernel(Nest, Roots, Name, Opts, planInterchanges(Nest),
+                        Reordered);
+}
+
 std::string shackle::emitNativeTranslationUnit(
     const std::vector<NativeTaskKernelSpec> &Tasks,
-    const NativeEmitOptions &Opts, unsigned *GemmRouted) {
+    const NativeEmitOptions &Opts, unsigned *GemmRouted,
+    unsigned *Reordered) {
   Writer W;
   W.line("// Generated by the Shackle native execution tier. Do not edit.");
   W.line("#include <cmath>");
@@ -809,14 +852,21 @@ std::string shackle::emitNativeTranslationUnit(
   W.blank();
   if (GemmRouted)
     *GemmRouted = 0;
+  unsigned NumReordered = 0;
+  std::unordered_map<const LoopNest *, InterchangeMap> Swaps;
   for (const NativeTaskKernelSpec &T : Tasks) {
-    const std::string Kernel =
-        emitNativeTaskKernel(*T.Nest, T.Roots, T.Name, Opts);
+    auto [It, New] = Swaps.try_emplace(T.Nest);
+    if (New)
+      It->second = planInterchanges(*T.Nest);
+    const std::string Kernel = emitTaskKernel(*T.Nest, T.Roots, T.Name, Opts,
+                                              It->second, NumReordered);
     if (GemmRouted && Kernel.find("hooks->gemm") != std::string::npos)
       ++*GemmRouted;
     W.raw(Kernel);
     W.blank();
   }
+  if (Reordered)
+    *Reordered = NumReordered;
   return W.str();
 }
 

@@ -19,6 +19,9 @@
 /// binaries. The native tier (DESIGN.md §15) instead emits one kernel per
 /// block task through emitNativeTranslationUnit, compiled at plan time;
 /// those kernels are all its unit holds (undo footprints are the plan's).
+/// Every kernel emits an innermost loop pair interchanged when its store is
+/// unit-stride along the outer loop and the swap is proven to reverse no
+/// dependence (emitc/Interchange.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,11 +87,13 @@ std::string emitNativeTaskKernel(const LoopNest &Nest,
 /// the shackle_native_hooks struct definition, and every task kernel. Each
 /// symbol is resolved individually via dlsym; there is no registry. When
 /// \p GemmRouted is non-null it receives the number of kernels whose text
-/// contains a hooks->gemm call site.
+/// contains a hooks->gemm call site; when \p Reordered is non-null, the
+/// number of loop pairs emitted interchanged (emitc/Interchange.h).
 std::string
 emitNativeTranslationUnit(const std::vector<NativeTaskKernelSpec> &Tasks,
                           const NativeEmitOptions &Opts,
-                          unsigned *GemmRouted = nullptr);
+                          unsigned *GemmRouted = nullptr,
+                          unsigned *Reordered = nullptr);
 
 /// Emits the definition of a single kernel function (no preamble).
 std::string emitKernel(const LoopNest &Nest, const std::string &Name);

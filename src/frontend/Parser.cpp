@@ -548,7 +548,7 @@ private:
     if (!parseScalar(RHS))
       return false;
     if (Label.empty())
-      Label = "S" + std::to_string(Prog->getNumStmts() + 1);
+      Label = std::string("S").append(std::to_string(Prog->getNumStmts() + 1));
     Prog->addStmt(Label, std::move(LHS), std::move(RHS));
     return true;
   }

@@ -27,7 +27,10 @@ std::string AffineExpr::str(const std::vector<std::string> &Names) const {
       if (A != 1)
         S += std::to_string(A) + "*";
     }
-    S += I < Names.size() ? Names[I] : ("v" + std::to_string(I));
+    if (I < Names.size())
+      S += Names[I];
+    else
+      S.append("v").append(std::to_string(I));
     First = false;
   }
   if (First)

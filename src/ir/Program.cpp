@@ -203,6 +203,18 @@ std::string refStr(const ArrayRef &R, const Program &P) {
   return S + "]";
 }
 
+std::string exprStr(const ScalarExpr *E, const Program &P);
+
+/// "(lhs op rhs)" for a binary expression.
+std::string binaryStr(const ScalarExpr *E, const char *Op, const Program &P) {
+  std::string S = "(";
+  S += exprStr(E->getLHS(), P);
+  S += Op;
+  S += exprStr(E->getRHS(), P);
+  S += ")";
+  return S;
+}
+
 std::string exprStr(const ScalarExpr *E, const Program &P) {
   switch (E->getKind()) {
   case ExprKind::Number: {
@@ -217,17 +229,13 @@ std::string exprStr(const ScalarExpr *E, const Program &P) {
   case ExprKind::Load:
     return refStr(E->getRef(), P);
   case ExprKind::Add:
-    return "(" + exprStr(E->getLHS(), P) + " + " + exprStr(E->getRHS(), P) +
-           ")";
+    return binaryStr(E, " + ", P);
   case ExprKind::Sub:
-    return "(" + exprStr(E->getLHS(), P) + " - " + exprStr(E->getRHS(), P) +
-           ")";
+    return binaryStr(E, " - ", P);
   case ExprKind::Mul:
-    return "(" + exprStr(E->getLHS(), P) + " * " + exprStr(E->getRHS(), P) +
-           ")";
+    return binaryStr(E, " * ", P);
   case ExprKind::Div:
-    return "(" + exprStr(E->getLHS(), P) + " / " + exprStr(E->getRHS(), P) +
-           ")";
+    return binaryStr(E, " / ", P);
   case ExprKind::Neg:
     return "(-" + exprStr(E->getLHS(), P) + ")";
   case ExprKind::Sqrt:

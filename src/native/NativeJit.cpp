@@ -172,7 +172,8 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   NativeEmitOptions EOpts;
   EOpts.GemmHooks = Opts.UseMicroBlas;
   const std::string Text =
-      emitNativeTranslationUnit(Specs, EOpts, &M->Stats.GemmRouted);
+      emitNativeTranslationUnit(Specs, EOpts, &M->Stats.GemmRouted,
+                                &M->Stats.Reordered);
   M->Stats.EmitMs = msSince(T0);
   M->Stats.TaskKernels = static_cast<unsigned>(Specs.size());
 
@@ -301,8 +302,9 @@ bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
     std::string Src = Dir + "/probe.cpp", So = Dir + "/probe.so",
                 Log = Dir + "/cc.log";
     { std::ofstream(Src) << "extern \"C\" long shk_probe() {return 42;}\n"; }
-    std::string Cmd = "'" + nativeCompilerPath(Opts) +
-                      "' -std=c++17 -O2 -fPIC -shared";
+    std::string Cmd = "'";
+    Cmd += nativeCompilerPath(Opts);
+    Cmd += "' -std=c++17 -O2 -fPIC -shared";
     if (!Opts.ExtraFlags.empty())
       Cmd += " " + Opts.ExtraFlags;
     Cmd += " -o '" + So + "' '" + Src + "' > '" + Log + "' 2>&1";

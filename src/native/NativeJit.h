@@ -87,6 +87,9 @@ struct NativeJitStats {
   /// Task kernels whose emitted text contains at least one hooks->gemm
   /// call site (the runtime guard may still take the plain-loop branch).
   unsigned GemmRouted = 0;
+  /// Innermost loop pairs emitted interchanged so the store's unit-stride
+  /// loop runs innermost (emitc/Interchange.h), counted over all kernels.
+  unsigned Reordered = 0;
   /// The resolved hooks->gemm vector level (SimdLevel::Scalar when
   /// MicroBlas routing is off or the requested width is unsupported).
   SimdLevel SimdUsed = SimdLevel::Scalar;

@@ -7,8 +7,8 @@
 
 #include "parallel/BlockPartition.h"
 
+#include "codegen/PathConstraints.h"
 #include "interp/Interpreter.h"
-#include "polyhedral/OmegaTest.h"
 #include "support/MathExtras.h"
 
 #include <limits>
@@ -33,94 +33,6 @@ FootprintRuns encodeRuns(std::vector<FootprintRun> &Pieces) {
       Runs.push_back(P);
   }
   return Runs;
-}
-
-/// The row  lhs >= 0  over the nest's dims for  Dim >= B  (\p Lower) or
-/// Dim <= B:  Dim >= ceil(E/D) is D*Dim - E >= 0, and a floor bound (or a
-/// ceil upper bound) adds D - 1 to the constant.
-ConstraintRow boundRow(unsigned NumDims, unsigned Dim, const BoundExpr &B,
-                       bool Lower) {
-  const int64_t Sign = Lower ? -1 : 1;
-  ConstraintRow Row(NumDims + 1, 0);
-  for (unsigned I = 0; I < B.Expr.getNumVars(); ++I)
-    Row[I] = Sign * B.Expr.getCoeff(I);
-  Row[Dim] -= Sign * B.Divisor;
-  Row[NumDims] =
-      Sign * B.Expr.getConstant() + (B.IsCeil != Lower ? B.Divisor - 1 : 0);
-  return Row;
-}
-
-/// Calls \p F on every constraint of \p P as an inequality row (an
-/// equality as two).
-template <typename Fn> void forEachRow(const Polyhedron &P, Fn &&F) {
-  for (const ConstraintRow &R : P.inequalities())
-    F(R);
-  for (const ConstraintRow &R : P.equalities()) {
-    F(R);
-    ConstraintRow Neg(R);
-    for (int64_t &C : Neg)
-      C = -C;
-    F(Neg);
-  }
-}
-
-/// True when eliminating \p Var is exact by the unit rule: a unit equality
-/// substitutes it, or, with no equality on it, every lower or every upper
-/// bound has a unit coefficient.
-bool unitExact(const Polyhedron &P, unsigned Var) {
-  bool OnVar = false;
-  for (const ConstraintRow &E : P.equalities()) {
-    if (E[Var] == 1 || E[Var] == -1)
-      return true;
-    OnVar = OnVar || E[Var] != 0;
-  }
-  return !OnVar && classifyElimination(P, Var).Exact;
-}
-
-/// True when every integer point of \p P satisfies the row \p D >= 0
-/// because one row of \p P implies it (or \p D holds everywhere).
-bool impliedByARow(const Polyhedron &P, const ConstraintRow &Row) {
-  Polyhedron One(P.getNumVars());
-  One.addInequality(Row);
-  if (!One.normalize() || One.inequalities().empty())
-    return !One.isKnownEmpty();
-  const ConstraintRow &D = One.inequalities()[0];
-  const unsigned N = P.getNumVars();
-  bool Implied = P.isKnownEmpty();
-  forEachRow(P, [&](const ConstraintRow &R) {
-    Implied = Implied || (std::equal(R.begin(), R.end() - 1, D.begin()) &&
-                          R[N] <= D[N]);
-  });
-  return Implied;
-}
-
-/// Eliminates \p Var from \p P by Fourier-Motzkin and reports whether the
-/// real shadow is certified to be the exact integer projection: every
-/// lower/upper pair has a unit coefficient on one side, or its dark-shadow
-/// row is implied by a row of the real shadow (then the dark shadow, whose
-/// points all have an integer preimage, is the whole real shadow). The
-/// halves of a non-unit equality c*Var + e == 0 pair into the dark row
-/// -(c-1)^2 >= 0, which nothing implies: such a projection is never exact.
-bool eliminateExactly(Polyhedron &P, unsigned Var) {
-  std::vector<ConstraintRow> Dark;
-  if (!unitExact(P, Var))
-    forEachRow(P, [&](const ConstraintRow &L) {
-      forEachRow(P, [&](const ConstraintRow &U) {
-        const int64_t A = L[Var], B = -U[Var];
-        if (A <= 1 || B <= 1)
-          return;
-        ConstraintRow Row(L.size());
-        for (unsigned J = 0; J < Row.size(); ++J)
-          Row[J] = checkedAdd(checkedMul(A, U[J]), checkedMul(B, L[J]));
-        Row.back() -= (A - 1) * (B - 1);
-        Dark.push_back(std::move(Row));
-      });
-    });
-  P.fourierMotzkinEliminate(Var);
-  for (const ConstraintRow &D : Dark)
-    if (!impliedByARow(P, D))
-      return false;
-  return true;
 }
 
 /// One store's write set under one segment root, projected onto the dims
@@ -148,10 +60,8 @@ public:
   bool footprint(const BlockTask &T, std::vector<FootprintRun> &Out) {
     for (const BlockTask::Segment &Seg : T.Segments) {
       auto [It, New] = ByRoot.try_emplace(Seg.Node);
-      if (New) {
-        std::vector<unsigned> Bound;
-        collect(*Seg.Node, Bound, It->second);
-      }
+      if (New)
+        collect(*Seg.Node, It->second);
       for (const StoreProjection &SP : It->second) {
         std::vector<int64_t> X(Seg.DimValues);
         X.resize(Nest.NumDims + SP.Order.size(), 0);
@@ -206,57 +116,26 @@ private:
     return true;
   }
 
-  /// Walks the subtree at \p N with the path's constraints on the stacks
-  /// and the dims its loops and lets bind in \p Bound.
-  void collect(const ASTNode &N, std::vector<unsigned> &Bound,
-               std::vector<StoreProjection> &Out) {
-    const std::size_t NumIneqs = Ineqs.size(), NumEqs = Eqs.size();
-    const bool Binds = N.Kind == ASTKind::Loop || N.Kind == ASTKind::Let;
-    if (Binds) {
-      const std::vector<BoundExpr> &Ubs =
-          N.Kind == ASTKind::Let ? N.Lbs : N.Ubs;
-      for (const BoundExpr &B : N.Lbs)
-        Ineqs.push_back(boundRow(Nest.NumDims, N.Dim, B, /*Lower=*/true));
-      for (const BoundExpr &B : Ubs)
-        Ineqs.push_back(boundRow(Nest.NumDims, N.Dim, B, /*Lower=*/false));
-      Bound.push_back(N.Dim);
-    } else if (N.Kind == ASTKind::If) {
-      Ineqs.insert(Ineqs.end(), N.IneqConds.begin(), N.IneqConds.end());
-      Eqs.insert(Eqs.end(), N.EqConds.begin(), N.EqConds.end());
-    } else {
-      Out.push_back(project(N, Bound));
-    }
+  /// Walks the subtree at \p N with the path's constraints in Path.
+  void collect(const ASTNode &N, std::vector<StoreProjection> &Out) {
+    Path.push(N);
+    if (N.Kind == ASTKind::Instance)
+      Out.push_back(project(N));
     for (const ASTNodePtr &C : N.Body)
-      collect(*C, Bound, Out);
-    Ineqs.resize(NumIneqs);
-    Eqs.resize(NumEqs);
-    if (Binds)
-      Bound.pop_back();
+      collect(*C, Out);
+    Path.pop();
   }
 
-  StoreProjection project(const ASTNode &N, std::vector<unsigned> Bound) {
+  StoreProjection project(const ASTNode &N) {
     const unsigned ND = Nest.NumDims;
     const ArrayRef &LHS = N.S->LHS;
     const unsigned Rank = LHS.Indices.size();
     StoreProjection SP;
     SP.ArrayId = LHS.ArrayId;
-    // A dim bound twice on the path is not one polyhedron: earlier rows
-    // read its old value.
-    std::vector<unsigned> Sorted(Bound);
-    std::sort(Sorted.begin(), Sorted.end());
-    SP.Exact = std::adjacent_find(Sorted.begin(), Sorted.end()) == Sorted.end();
-    if (!SP.Exact)
+    if (!(SP.Exact = !Path.rebinds()))
       return SP;
 
-    Polyhedron P(ND + Rank);
-    auto Widen = [&](ConstraintRow Row) {
-      Row.insert(Row.end() - 1, Rank, 0);
-      return Row;
-    };
-    for (const ConstraintRow &R : Ineqs)
-      P.addInequality(Widen(R));
-    for (const ConstraintRow &R : Eqs)
-      P.addEquality(Widen(R));
+    Polyhedron P = Path.polyhedron(Rank);
     for (unsigned I = 0; I < Rank; ++I) { // a_I - index_I == 0
       AffineExpr E =
           mapToScan(LHS.Indices[I], *N.S, N.VarMap, ND, Nest.NumParams);
@@ -270,7 +149,7 @@ private:
 
     // Eliminate the root's dims, innermost first, taking an exact-by-unit
     // one whenever there is one.
-    std::reverse(Bound.begin(), Bound.end());
+    std::vector<unsigned> Bound(Path.bound().rbegin(), Path.bound().rend());
     while (!Bound.empty() && P.normalize()) {
       auto It = std::find_if(Bound.begin(), Bound.end(),
                              [&](unsigned D) { return unitExact(P, D); });
@@ -305,8 +184,8 @@ private:
 
   const LoopNest &Nest;
   const ArrayAddressing &Addr;
-  /// The path's constraints over the nest's dims, outermost first.
-  std::vector<ConstraintRow> Ineqs, Eqs;
+  /// The constraints on the path from the segment root being collected.
+  PathConstraints Path{Nest.NumDims};
   std::unordered_map<const ASTNode *, std::vector<StoreProjection>> ByRoot;
 };
 

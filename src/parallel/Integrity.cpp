@@ -113,7 +113,7 @@ std::string shackle::formatCone(const std::vector<uint32_t> &Cone,
     }
     if (I)
       S += ", ";
-    S += "#" + std::to_string(Cone[I]);
+    S.append("#").append(std::to_string(Cone[I]));
   }
   return S;
 }

@@ -17,7 +17,7 @@ using namespace shackle;
 Polyhedron::Polyhedron(unsigned NumVars) : NumVars(NumVars) {
   VarNames.reserve(NumVars);
   for (unsigned I = 0; I < NumVars; ++I)
-    VarNames.push_back("x" + std::to_string(I));
+    VarNames.push_back(std::string("x").append(std::to_string(I)));
 }
 
 Polyhedron::Polyhedron(std::vector<std::string> Names)

@@ -73,7 +73,7 @@ std::string Diagnostic::str() const {
   S += diagCodeName(Code);
   S += "]";
   if (Loc.isValid())
-    S += " " + Loc.str() + ":";
+    S.append(" ").append(Loc.str()).append(":");
   S += " " + Message;
   for (const Diagnostic &N : Notes)
     S += "\n  note: " + (N.Loc.isValid() ? N.Loc.str() + ": " : "") + N.Message;

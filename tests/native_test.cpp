@@ -11,10 +11,11 @@
 // shapes, thread counts, and seeds, and demands the results agree.
 //
 // Equality policy (docs/CLI.md "--native"): with MicroBlas routing off the
-// emitted loops perform the interpreter's arithmetic in the interpreter's
-// order and the TU is compiled with -ffp-contract=off, so agreement is
-// BITWISE. With MicroBlas on, matched GEMM blocks keep the ascending-k
-// summation order per element (microGemm is i-k-j), so agreement is still
+// emitted loops give every element the interpreter's operations in the
+// interpreter's order (an interchanged loop pair reverses no dependence)
+// and the TU is compiled with -ffp-contract=off, so agreement is BITWISE.
+// With MicroBlas on, matched GEMM blocks keep the ascending-k summation
+// order per element (microGemm is i-k-j), so agreement is still
 // bitwise on this toolchain — but reassociation is permitted by the
 // contract, so those checks use the documented 1e-12 absolute bound and a
 // separate test pins the bitwise case only for routing off.
@@ -120,17 +121,20 @@ protected:
 /// into strict diagonal dominance so Cholesky-style factorizations never
 /// hit sqrt of a negative — the clean-data battery must exercise the
 /// native fast path, not the genuine-poison oracle rerun.
-void expectOracleAgreement(const BenchSpec &Spec, const ShackleChain &Chain,
+/// \p Reordered, when non-null, receives the module's count of loop pairs
+/// emitted interchanged.
+void expectOracleAgreement(const Program &P, const ShackleChain &Chain,
                            std::vector<int64_t> Params, bool MicroBlas,
                            double Tol, double Lo, double Hi,
-                           unsigned SpdDim = 0) {
-  const Program &P = *Spec.Prog;
+                           unsigned SpdDim = 0, unsigned *Reordered = nullptr) {
   ParallelPlan Plan = ParallelPlan::build(P, Chain, Params);
   ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M = buildModule(Plan, MicroBlas, &Diags);
   ASSERT_NE(M, nullptr) << (Diags.empty() ? "" : Diags.front().str());
   EXPECT_EQ(M->usesMicroBlas(), MicroBlas);
+  if (Reordered)
+    *Reordered = M->stats().Reordered;
 
   for (uint64_t Seed : {7ull, 23ull, 101ull}) {
     ProgramInstance Init(P, Params);
@@ -179,52 +183,160 @@ void expectOracleAgreement(const BenchSpec &Spec, const ShackleChain &Chain,
 
 TEST_F(NativeTest, MMMFlatBitwise) {
   BenchSpec Spec = makeMatMul();
-  expectOracleAgreement(Spec, mmmShackleCxA(*Spec.Prog, 8), {32},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, mmmShackleCxA(P, 8), {32},
                         /*MicroBlas=*/false, /*Tol=*/0.0, 0.0, 1.0);
 }
 
 TEST_F(NativeTest, MMMFlatMicroBlasWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
-  expectOracleAgreement(Spec, mmmShackleCxA(*Spec.Prog, 8), {32},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, mmmShackleCxA(P, 8), {32},
                         /*MicroBlas=*/true, /*Tol=*/1e-12, 0.0, 1.0);
 }
 
 TEST_F(NativeTest, MMMTwoLevelBitwise) {
   BenchSpec Spec = makeMatMul();
-  expectOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, mmmShackleTwoLevel(P, 8, 4), {32},
                         /*MicroBlas=*/false, /*Tol=*/0.0, 0.0, 1.0);
 }
 
 TEST_F(NativeTest, MMMTwoLevelMicroBlasWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
-  expectOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, mmmShackleTwoLevel(P, 8, 4), {32},
                         /*MicroBlas=*/true, /*Tol=*/1e-12, 0.0, 1.0);
 }
 
 TEST_F(NativeTest, CholeskyFlatBitwise) {
   BenchSpec Spec = makeCholeskyRight();
-  expectOracleAgreement(Spec, choleskyShackleStores(*Spec.Prog, 4), {16},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, choleskyShackleStores(P, 4), {16},
                         /*MicroBlas=*/false, /*Tol=*/0.0, 0.5, 1.5,
                         /*SpdDim=*/16);
 }
 
 TEST_F(NativeTest, CholeskyTwoLevelBitwise) {
   BenchSpec Spec = makeCholeskyRight();
-  expectOracleAgreement(Spec, choleskyShackleProduct(*Spec.Prog, 4, true),
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, choleskyShackleProduct(P, 4, true),
                         {16}, /*MicroBlas=*/false, /*Tol=*/0.0, 0.5, 1.5,
                         /*SpdDim=*/16);
 }
 
 TEST_F(NativeTest, ADIFlatBitwise) {
   BenchSpec Spec = makeADI();
-  expectOracleAgreement(Spec, adiShackle(*Spec.Prog), {24},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, adiShackle(P), {24},
                         /*MicroBlas=*/false, /*Tol=*/0.0, 0.5, 1.5);
 }
 
 TEST_F(NativeTest, ADITwoLevelBitwise) {
   BenchSpec Spec = makeADI();
-  expectOracleAgreement(Spec, adiShackleTwoLevel(*Spec.Prog, 8), {32},
+  const Program &P = *Spec.Prog;
+  expectOracleAgreement(P, adiShackleTwoLevel(P, 8), {32},
                         /*MicroBlas=*/false, /*Tol=*/0.0, 0.5, 1.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Innermost loop interchange: unit-stride loop innermost, only when legal
+//===----------------------------------------------------------------------===//
+
+/// Ragged and whole-block triangular nests: the interchanged pairs take
+/// bounds like t2 = max(lo, t3) and must stay bitwise.
+TEST_F(NativeTest, TriangularInterchangeBitwise) {
+  BenchSpec Spec = makeCholeskyRight();
+  const Program &P = *Spec.Prog;
+  for (int64_t N : {24, 30}) {
+    SCOPED_TRACE("N=" + std::to_string(N));
+    for (bool TwoLevel : {false, true}) {
+      SCOPED_TRACE(TwoLevel ? "two-level" : "flat");
+      const ShackleChain Chain = TwoLevel ? choleskyShackleProduct(P, 8, true)
+                                          : choleskyShackleStores(P, 8);
+      unsigned Reordered = 0;
+      expectOracleAgreement(P, Chain, {N}, /*MicroBlas=*/false, /*Tol=*/0.0,
+                            0.5, 1.5, /*SpdDim=*/N, &Reordered);
+      EXPECT_GT(Reordered, 0u);
+    }
+  }
+}
+
+/// A column-major stencil blocked in row bands: inside a band the pair
+/// (i outer, j inner) stores A[i][j] with unit stride along i, so the
+/// layout favours the swap. With A[i-1][j+1] the (<,>) dependence forbids
+/// it; with A[i-1][j-1] nothing is reversed and the pair is interchanged.
+void expectStencilInterchange(const std::string &Read, bool Expected) {
+  ParseResult R = parseProgram("param N\n"
+                               "array A[N][N] colmajor\n"
+                               "do i = 1, N-2\n"
+                               "  do j = 1, N-2\n"
+                               "    A[i][j] = 0.5 * " +
+                               Read +
+                               " + 0.25 * A[i][j]\n"
+                               "  end\n"
+                               "end\n");
+  ASSERT_TRUE(R) << R.Error;
+  DataBlocking Rows;
+  Rows.ArrayId = 0;
+  Rows.Planes.push_back({/*Normal=*/{1, 0}, /*BlockSize=*/8, false});
+  ShackleChain Chain;
+  Chain.Factors.push_back(DataShackle::onStores(*R.Prog, Rows));
+  unsigned Reordered = 0;
+  expectOracleAgreement(*R.Prog, Chain, {30}, /*MicroBlas=*/false,
+                        /*Tol=*/0.0, 0.5, 1.5, /*SpdDim=*/0, &Reordered);
+  EXPECT_EQ(Reordered > 0, Expected) << Read;
+}
+
+TEST_F(NativeTest, ReversedDependenceKeepsLoopOrder) {
+  expectStencilInterchange("A[i-1][j+1]", /*Expected=*/false);
+}
+
+TEST_F(NativeTest, ForwardDependenceAllowsInterchange) {
+  expectStencilInterchange("A[i-1][j-1]", /*Expected=*/true);
+}
+
+/// In the emitted cholesky-right product-wr kernels every S3 store
+/// A[L][K] (column-major: unit stride along L) sits directly under a loop
+/// over L's dim.
+TEST_F(NativeTest, EmittedUpdateRunsUnitStrideInnermost) {
+  BenchSpec Spec = makeCholeskyRight();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan =
+      ParallelPlan::build(P, choleskyShackleProduct(P, 8, true), {30});
+  ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
+  std::vector<NativeTaskKernelSpec> Specs;
+  for (const BlockTask &T : Plan.partition().Tasks) {
+    NativeTaskKernelSpec K{"k" + std::to_string(Specs.size()), &Plan.nest(),
+                           {}};
+    for (const BlockTask::Segment &Seg : T.Segments)
+      K.Roots.push_back(Seg.Node);
+    Specs.push_back(std::move(K));
+  }
+  unsigned Reordered = 0;
+  std::istringstream TU(
+      emitNativeTranslationUnit(Specs, NativeEmitOptions(), nullptr,
+                                &Reordered));
+  EXPECT_GT(Reordered, 0u);
+  // S3 is the only statement that subtracts: a0[((K))*(N) + (L)] = (... -
+  // ...), with L, the unit-stride index, last in the column-major offset.
+  std::string Line, InnerLoop;
+  unsigned Stores = 0;
+  while (std::getline(TU, Line)) {
+    const std::size_t For = Line.find("for (int64_t ");
+    const std::size_t Eq = Line.find("] = (");
+    if (For != std::string::npos) {
+      const std::size_t Begin = For + 13;
+      InnerLoop = Line.substr(Begin, Line.find(' ', Begin) - Begin);
+    } else if (Eq != std::string::npos &&
+               Line.find(" - (") != std::string::npos) {
+      ++Stores;
+      const std::size_t Unit = Line.rfind("+ (", Eq) + 3;
+      EXPECT_EQ(InnerLoop, Line.substr(Unit, Line.find(')', Unit) - Unit))
+          << Line;
+    }
+  }
+  EXPECT_GT(Stores, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -538,14 +650,14 @@ void expectFootprintAgreement(const BenchSpec &Spec,
   }
 }
 
-TEST_F(NativeTest, WriteEnumeratorMatchesInterpreterWalkFlat) {
+TEST_F(NativeTest, PlanFootprintMatchesInterpreterWalkFlat) {
   // 48 is not a multiple of 16: boundary tiles exercise the clamped ranges.
   BenchSpec Spec = makeMatMul();
   expectFootprintAgreement(Spec, mmmShackleC(*Spec.Prog, 16), {48},
                            /*TaskLevel=*/0);
 }
 
-TEST_F(NativeTest, WriteEnumeratorMatchesInterpreterWalkTwoLevel) {
+TEST_F(NativeTest, PlanFootprintMatchesInterpreterWalkTwoLevel) {
   // Strip-mined loops pair non-unit bounds (a - 3 <= 4x <= a): their
   // projection must still be certified and exact.
   BenchSpec Spec = makeMatMul();
@@ -553,7 +665,7 @@ TEST_F(NativeTest, WriteEnumeratorMatchesInterpreterWalkTwoLevel) {
                            {48}, /*TaskLevel=*/2);
 }
 
-TEST_F(NativeTest, WriteEnumeratorMatchesInterpreterWalkTriangular) {
+TEST_F(NativeTest, PlanFootprintMatchesInterpreterWalkTriangular) {
   BenchSpec Spec = makeCholeskyRight();
   expectFootprintAgreement(Spec, choleskyShackleStores(*Spec.Prog, 8), {24},
                            /*TaskLevel=*/0);
@@ -592,6 +704,19 @@ TEST_F(NativeTest, CliTwoLevelNativeMatchesInterpreter) {
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
 }
 
+/// The count \p Key (e.g. "gemm-routed=") on the native: line, or -1 when
+/// absent.
+long nativeCount(const std::string &Out, const std::string &Key) {
+  std::size_t At = Out.find(" " + Key);
+  if (At == std::string::npos)
+    return -1;
+  return std::strtol(Out.c_str() + At + 1 + Key.size(), nullptr, 10);
+}
+
+long gemmRouted(const std::string &Out) {
+  return nativeCount(Out, "gemm-routed=");
+}
+
 TEST_F(NativeTest, CliNativeStatsLineReportsKernels) {
   auto [Rc, Out] = runCli("run matmul cxa --block=8 --params=32 --threads=2 "
                           "--native=task --task-level=0");
@@ -599,15 +724,15 @@ TEST_F(NativeTest, CliNativeStatsLineReportsKernels) {
   EXPECT_NE(Out.find("native: mode=task kernels=1 "), std::string::npos)
       << Out;
   EXPECT_NE(Out.find("gemm-routed="), std::string::npos) << Out;
+  EXPECT_GE(nativeCount(Out, "reordered="), 0) << Out;
   EXPECT_EQ(Out.find("task-kernels="), std::string::npos) << Out;
-}
-
-/// The gemm-routed count on the native: line, or -1 when absent.
-long gemmRouted(const std::string &Out) {
-  std::size_t At = Out.find("gemm-routed=");
-  if (At == std::string::npos)
-    return -1;
-  return std::strtol(Out.c_str() + At + 12, nullptr, 10);
+  // Cholesky's trailing update is interchanged in all four of its nests.
+  auto [RcChol, Chol] =
+      runCli("run cholesky-right product-wr --block=8 --params=30 "
+             "--native=task --native-microblas=off --verify");
+  EXPECT_EQ(RcChol, 0) << Chol;
+  EXPECT_EQ(nativeCount(Chol, "reordered="), 4) << Chol;
+  EXPECT_NE(Chol.find("bitwise-identical"), std::string::npos) << Chol;
 }
 
 TEST_F(NativeTest, CliGemmRoutedFollowsMicroBlasFlag) {
