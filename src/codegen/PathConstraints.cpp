@@ -144,3 +144,84 @@ Polyhedron PathConstraints::polyhedron(unsigned Extra) const {
     P.addEquality(Widen(R));
   return P;
 }
+
+namespace {
+
+/// \p Row over the nest's dims as a row of a pair polyhedron with the
+/// copies of \p Primed: read by the first point, or with \p Second by the
+/// second, whose primed dims sit in the copies' columns.
+ConstraintRow pairRow(const ConstraintRow &Row,
+                      const std::vector<unsigned> &Primed, bool Second) {
+  const unsigned ND = Row.size() - 1;
+  ConstraintRow Out(Row);
+  Out.insert(Out.end() - 1, Primed.size(), 0);
+  if (Second)
+    for (unsigned K = 0; K < Primed.size(); ++K)
+      std::swap(Out[Primed[K]], Out[ND + K]);
+  return Out;
+}
+
+} // namespace
+
+Polyhedron PathConstraints::pairs(const std::vector<unsigned> &Primed) const {
+  Polyhedron P = polyhedron(Primed.size());
+  auto OnPrimed = [&](const ConstraintRow &R) {
+    return std::any_of(Primed.begin(), Primed.end(),
+                       [&](unsigned D) { return R[D] != 0; });
+  };
+  for (const ConstraintRow &R : Ineqs)
+    if (OnPrimed(R))
+      P.addInequality(pairRow(R, Primed, /*Second=*/true));
+  for (const ConstraintRow &R : Eqs)
+    if (OnPrimed(R))
+      P.addEquality(pairRow(R, Primed, /*Second=*/true));
+  return P;
+}
+
+std::vector<ConstraintRow> shackle::indexRows(const LoopNest &Nest,
+                                              const ASTNode &Inst,
+                                              const ArrayRef &R) {
+  std::vector<ConstraintRow> Rows;
+  for (const AffineExpr &I : R.Indices) {
+    const AffineExpr E =
+        mapToScan(I, *Inst.S, Inst.VarMap, Nest.NumDims, Nest.NumParams);
+    ConstraintRow Row(E.getNumVars() + 1);
+    for (unsigned D = 0; D < E.getNumVars(); ++D)
+      Row[D] = E.getCoeff(D);
+    Row.back() = E.getConstant();
+    Rows.push_back(std::move(Row));
+  }
+  return Rows;
+}
+
+bool shackle::provesNoConflict(const LoopNest &Nest, const Polyhedron &Pairs,
+                               const std::vector<unsigned> &Primed,
+                               const std::vector<ASTNodePtr> &Insts) {
+  struct Access {
+    const ASTNode *Inst;
+    const ArrayRef *Ref;
+    bool Write;
+  };
+  std::vector<Access> Accesses;
+  for (const ASTNodePtr &C : Insts)
+    for (const auto &[Ref, Write] : C->S->refs())
+      Accesses.push_back({C.get(), Ref, Write});
+  for (const Access &A : Accesses)
+    for (const Access &B : Accesses) {
+      if (A.Ref->ArrayId != B.Ref->ArrayId || !(A.Write || B.Write))
+        continue;
+      Polyhedron Q = Pairs;
+      const std::vector<ConstraintRow> IA = indexRows(Nest, *A.Inst, *A.Ref);
+      const std::vector<ConstraintRow> IB = indexRows(Nest, *B.Inst, *B.Ref);
+      for (unsigned P = 0; P < IA.size(); ++P) {
+        ConstraintRow Row = pairRow(IA[P], Primed, /*Second=*/false);
+        const ConstraintRow RB = pairRow(IB[P], Primed, /*Second=*/true);
+        for (unsigned J = 0; J < Row.size(); ++J)
+          Row[J] -= RB[J];
+        Q.addEquality(std::move(Row));
+      }
+      if (isIntegerEmptyBounded(Q) != FeasVerdict::Empty)
+        return false;
+    }
+  return true;
+}

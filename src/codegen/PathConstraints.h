@@ -11,8 +11,8 @@
 /// elimination certified to give the exact integer projection. Two passes
 /// read them: the plan's write footprints (parallel/BlockPartition.h)
 /// project each store's image under a segment root, and the C++ emitter
-/// (emitc) proves an innermost loop interchange legal and projects the
-/// interchanged loop bounds.
+/// (emitc) proves an innermost loop interchange or a SIMD loop legal and
+/// projects the interchanged loop bounds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +83,12 @@ public:
   /// unconstrained variables.
   Polyhedron polyhedron(unsigned Extra = 0) const;
 
+  /// Pairs of points on the path: the nest's dims (the first point), then
+  /// one column per dim of \p Primed, which the second point has in place
+  /// of that dim. The second point agrees with the first on every other
+  /// dim, and every row on a primed dim holds for it too.
+  Polyhedron pairs(const std::vector<unsigned> &Primed) const;
+
 private:
   struct Mark {
     std::size_t Ineqs, Eqs, Bound;
@@ -92,6 +98,21 @@ private:
   std::vector<unsigned> Bound;
   std::vector<Mark> Marks;
 };
+
+/// The indices of \p R, as the instance \p Inst reads them, as rows over
+/// the nest's dims.
+std::vector<ConstraintRow> indexRows(const LoopNest &Nest, const ASTNode &Inst,
+                                     const ArrayRef &R);
+
+/// True when the Omega test proves that no point of \p Pairs (see
+/// PathConstraints::pairs) has an access of the first point's instance and
+/// an access of the second point's instance, each an instance of one of
+/// \p Insts, touch one element of an array with at least one of the two a
+/// write. Every ordered pair of accesses is tried, across statements too;
+/// an undecided query counts as a conflict.
+bool provesNoConflict(const LoopNest &Nest, const Polyhedron &Pairs,
+                      const std::vector<unsigned> &Primed,
+                      const std::vector<ASTNodePtr> &Insts);
 
 } // namespace shackle
 

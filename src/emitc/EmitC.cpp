@@ -7,7 +7,7 @@
 
 #include "emitc/EmitC.h"
 
-#include "emitc/Interchange.h"
+#include "emitc/SimdMark.h"
 #include "support/ErrorHandling.h"
 #include "support/Writer.h"
 
@@ -79,11 +79,14 @@ std::string cRow(const ConstraintRow &Row,
   return cAffine(E, DimNames);
 }
 
-/// Emits statement bodies: array addressing and scalar expressions.
+/// Emits statement bodies: array addressing and scalar expressions. \p Sqrt
+/// names the square root function (the native unit includes no header that
+/// declares std::sqrt).
 class StmtEmitter {
 public:
-  StmtEmitter(const Program &P, const std::vector<std::string> &DimNames)
-      : P(P), DimNames(DimNames) {}
+  StmtEmitter(const Program &P, const std::vector<std::string> &DimNames,
+              const char *Sqrt = "std::sqrt")
+      : P(P), DimNames(DimNames), Sqrt(Sqrt) {}
 
   /// Sets the variable renaming for the current statement instance.
   void bind(const Stmt &S, const std::vector<unsigned> &VarMap) {
@@ -177,7 +180,7 @@ public:
     case ExprKind::Neg:
       return "(-" + scalarExpr(E->getLHS()) + ")";
     case ExprKind::Sqrt:
-      return "std::sqrt(" + scalarExpr(E->getLHS()) + ")";
+      return std::string(Sqrt) + "(" + scalarExpr(E->getLHS()) + ")";
     }
     fatalError("unknown scalar expression kind");
   }
@@ -185,16 +188,31 @@ public:
 private:
   const Program &P;
   const std::vector<std::string> &DimNames;
+  const char *Sqrt;
   std::vector<std::string> VarNamesC;
 };
 
+/// The loop order of one nest: the pairs emitted interchanged and the
+/// innermost loops emitted under `omp simd`.
+struct LoopPlan {
+  InterchangeMap Swaps;
+  SimdMarks Simd;
+};
+
+LoopPlan planLoops(const LoopNest &Nest) {
+  LoopPlan L;
+  L.Swaps = planInterchanges(Nest);
+  L.Simd = planSimdLoops(Nest, L.Swaps);
+  return L;
+}
+
 /// Emission context: whether dense triple loops may be routed through the
-/// native gemm hook, which loop pairs to emit interchanged, and how many
-/// were.
+/// native gemm hook, the nest's loop plan, and the counts of what was
+/// emitted.
 struct EmitCtx {
   bool GemmHooks = false;
-  const InterchangeMap *Swaps;
-  unsigned *Reordered;
+  const LoopPlan *Loops;
+  NativeEmitStats *Counts;
 };
 
 /// A matched dense rectangular loop nest computing C += A * B. The three
@@ -609,15 +627,36 @@ void emitGemmCall(const ASTNode &N, const GemmMatch &M, const LoopNest &Nest,
   W.line("}");
 }
 
-/// Opens  for (Dim = max(Lbs) .. min(Ubs)) {  and indents.
+/// Opens  for (Dim = max(Lbs) .. min(Ubs)) {  and indents. A \p Simd loop
+/// takes OpenMP canonical form (one induction variable, the bound a
+/// variable of its own) inside a block that declares both bounds.
 void emitLoopHeader(Writer &W, const std::string &V,
                     const std::vector<BoundExpr> &Lbs,
                     const std::vector<BoundExpr> &Ubs,
-                    const std::vector<std::string> &Dims) {
-  W.line("for (int64_t " + V + " = " + cBoundList(Lbs, Dims, true) + ", " + V +
-         "_ub = " + cBoundList(Ubs, Dims, false) + "; " + V + " <= " + V +
-         "_ub; ++" + V + ") {");
+                    const std::vector<std::string> &Dims, bool Simd = false) {
+  const std::string Lb = cBoundList(Lbs, Dims, true);
+  const std::string Ub = cBoundList(Ubs, Dims, false);
+  if (Simd) {
+    W.line("{");
+    W.indent();
+    W.line("const int64_t " + V + "_lb = " + Lb + ", " + V + "_ub = " + Ub +
+           ";");
+    W.line("_Pragma(\"omp simd\")");
+    W.line("for (int64_t " + V + " = " + V + "_lb; " + V + " <= " + V +
+           "_ub; ++" + V + ") {");
+  } else {
+    W.line("for (int64_t " + V + " = " + Lb + ", " + V + "_ub = " + Ub + "; " +
+           V + " <= " + V + "_ub; ++" + V + ") {");
+  }
   W.indent();
+}
+
+/// Closes what emitLoopHeader opened.
+void emitLoopEnd(Writer &W, bool Simd = false) {
+  for (int Level = Simd ? 2 : 1; Level > 0; --Level) {
+    W.dedent();
+    W.line("}");
+  }
 }
 
 void emitNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
@@ -632,27 +671,27 @@ void emitNode(const ASTNode &N, const LoopNest &Nest, StmtEmitter &SE,
         return;
       }
     }
-    const auto Swap = Ctx.Swaps->find(&N);
-    if (Swap != Ctx.Swaps->end()) {
+    // A marked loop is the innermost one emitted for N.
+    const bool Simd = Ctx.Loops->Simd.count(&N) != 0;
+    Ctx.Counts->SimdLoops += Simd;
+    const auto Swap = Ctx.Loops->Swaps.find(&N);
+    if (Swap != Ctx.Loops->Swaps.end()) {
       // The pair's inner loop runs outside, its instances inside both.
       const ASTNode &Inner = *N.Body[0];
       const Interchange &X = Swap->second;
       emitLoopHeader(W, Dims[Inner.Dim], X.OuterLbs, X.OuterUbs, Dims);
-      emitLoopHeader(W, Dims[N.Dim], X.InnerLbs, X.InnerUbs, Dims);
+      emitLoopHeader(W, Dims[N.Dim], X.InnerLbs, X.InnerUbs, Dims, Simd);
       for (const ASTNodePtr &C : Inner.Body)
         emitNode(*C, Nest, SE, W, Ctx);
-      for (int Level = 0; Level < 2; ++Level) {
-        W.dedent();
-        W.line("}");
-      }
-      ++*Ctx.Reordered;
+      emitLoopEnd(W, Simd);
+      emitLoopEnd(W);
+      ++Ctx.Counts->Reordered;
       return;
     }
-    emitLoopHeader(W, Dims[N.Dim], N.Lbs, N.Ubs, Dims);
+    emitLoopHeader(W, Dims[N.Dim], N.Lbs, N.Ubs, Dims, Simd);
     for (const ASTNodePtr &C : N.Body)
       emitNode(*C, Nest, SE, W, Ctx);
-    W.dedent();
-    W.line("}");
+    emitLoopEnd(W, Simd);
     return;
   }
   case ASTKind::Let: {
@@ -713,9 +752,9 @@ std::string shackle::emitKernel(const LoopNest &Nest,
   W.line("(void)arrays; (void)params;");
 
   StmtEmitter SE(P, Nest.DimNames);
-  const InterchangeMap Swaps = planInterchanges(Nest);
-  unsigned Reordered = 0;
-  EmitCtx Ctx{/*GemmHooks=*/false, &Swaps, &Reordered};
+  const LoopPlan Loops = planLoops(Nest);
+  NativeEmitStats Counts;
+  EmitCtx Ctx{/*GemmHooks=*/false, &Loops, &Counts};
   for (const ASTNodePtr &N : Nest.Roots)
     emitNode(*N, Nest, SE, W, Ctx);
   W.dedent();
@@ -759,13 +798,14 @@ void emitDimBindings(Writer &W, const LoopNest &Nest, const Program &P,
              std::to_string(V) + "]; (void)" + P.getVarName(V) + ";");
 }
 
-/// emitNativeTaskKernel with the nest's interchanges planned; adds the
-/// pairs it emits interchanged to \p Reordered.
+/// emitNativeTaskKernel with the nest's loop order planned; adds the loop
+/// pairs it emits interchanged and the loops it emits under `omp simd` to
+/// \p Counts.
 std::string emitTaskKernel(const LoopNest &Nest,
                            const std::vector<const ASTNode *> &Roots,
                            const std::string &Name,
                            const NativeEmitOptions &Opts,
-                           const InterchangeMap &Swaps, unsigned &Reordered) {
+                           const LoopPlan &Loops, NativeEmitStats &Counts) {
   const Program &P = *Nest.Prog;
   Writer W;
   W.line("extern \"C\" void " + Name +
@@ -782,7 +822,7 @@ std::string emitTaskKernel(const LoopNest &Nest,
            std::to_string(A) + "]; (void)a" + std::to_string(A) + ";");
   W.line("(void)arrays; (void)dims; (void)hooks;");
 
-  StmtEmitter SE(P, Nest.DimNames);
+  StmtEmitter SE(P, Nest.DimNames, "__builtin_sqrt");
   const std::string ND = std::to_string(Nest.NumDims);
   for (const SegRun &R : segmentRuns(Roots)) {
     W.line("for (int64_t _shk_s = " + std::to_string(R.Base) +
@@ -791,7 +831,7 @@ std::string emitTaskKernel(const LoopNest &Nest,
     W.indent();
     W.line("const int64_t *_shk_d = dims + _shk_s * " + ND + ";");
     emitDimBindings(W, Nest, P, "_shk_d");
-    EmitCtx Ctx{Opts.GemmHooks, &Swaps, &Reordered};
+    EmitCtx Ctx{Opts.GemmHooks, &Loops, &Counts};
     W.line("{");
     W.indent();
     emitNode(*R.Root, Nest, SE, W, Ctx);
@@ -810,19 +850,16 @@ std::string emitTaskKernel(const LoopNest &Nest,
 std::string shackle::emitNativeTaskKernel(
     const LoopNest &Nest, const std::vector<const ASTNode *> &Roots,
     const std::string &Name, const NativeEmitOptions &Opts) {
-  unsigned Reordered = 0;
-  return emitTaskKernel(Nest, Roots, Name, Opts, planInterchanges(Nest),
-                        Reordered);
+  NativeEmitStats Counts;
+  return emitTaskKernel(Nest, Roots, Name, Opts, planLoops(Nest), Counts);
 }
 
 std::string shackle::emitNativeTranslationUnit(
     const std::vector<NativeTaskKernelSpec> &Tasks,
-    const NativeEmitOptions &Opts, unsigned *GemmRouted,
-    unsigned *Reordered) {
+    const NativeEmitOptions &Opts, NativeEmitStats *Stats) {
   Writer W;
   W.line("// Generated by the Shackle native execution tier. Do not edit.");
-  W.line("#include <cmath>");
-  W.line("#include <cstdint>");
+  W.line("#include <stdint.h>");
   W.blank();
   W.line("namespace {");
   W.line("inline int64_t shk_floordiv(int64_t a, int64_t b) {");
@@ -850,23 +887,20 @@ std::string shackle::emitNativeTranslationUnit(
   W.line("int64_t shackle_native_abi_version() { return 1; }");
   W.line("} // extern \"C\"");
   W.blank();
-  if (GemmRouted)
-    *GemmRouted = 0;
-  unsigned NumReordered = 0;
-  std::unordered_map<const LoopNest *, InterchangeMap> Swaps;
+  NativeEmitStats Counts;
+  std::unordered_map<const LoopNest *, LoopPlan> Plans;
   for (const NativeTaskKernelSpec &T : Tasks) {
-    auto [It, New] = Swaps.try_emplace(T.Nest);
+    auto [It, New] = Plans.try_emplace(T.Nest);
     if (New)
-      It->second = planInterchanges(*T.Nest);
-    const std::string Kernel = emitTaskKernel(*T.Nest, T.Roots, T.Name, Opts,
-                                              It->second, NumReordered);
-    if (GemmRouted && Kernel.find("hooks->gemm") != std::string::npos)
-      ++*GemmRouted;
+      It->second = planLoops(*T.Nest);
+    const std::string Kernel =
+        emitTaskKernel(*T.Nest, T.Roots, T.Name, Opts, It->second, Counts);
+    Counts.GemmRouted += Kernel.find("hooks->gemm") != std::string::npos;
     W.raw(Kernel);
     W.blank();
   }
-  if (Reordered)
-    *Reordered = NumReordered;
+  if (Stats)
+    *Stats = Counts;
   return W.str();
 }
 

@@ -21,7 +21,9 @@
 /// those kernels are all its unit holds (undo footprints are the plan's).
 /// Every kernel emits an innermost loop pair interchanged when its store is
 /// unit-stride along the outer loop and the swap is proven to reverse no
-/// dependence (emitc/Interchange.h).
+/// dependence (emitc/Interchange.h), and an innermost loop under
+/// `_Pragma("omp simd")` when no two of its iterations are proven to touch
+/// one element with a write (emitc/SimdMark.h); compile with -fopenmp-simd.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,17 +85,25 @@ std::string emitNativeTaskKernel(const LoopNest &Nest,
                                  const std::string &Name,
                                  const NativeEmitOptions &Opts);
 
-/// Emits a complete native translation unit: includes, division helpers,
-/// the shackle_native_hooks struct definition, and every task kernel. Each
+/// What one native translation unit holds.
+struct NativeEmitStats {
+  /// Kernels whose text contains a hooks->gemm call site.
+  unsigned GemmRouted = 0;
+  /// Loop pairs emitted interchanged (emitc/Interchange.h).
+  unsigned Reordered = 0;
+  /// Loops emitted under `omp simd` (emitc/SimdMark.h).
+  unsigned SimdLoops = 0;
+};
+
+/// Emits a complete native translation unit: the <stdint.h> include (the
+/// only one: square roots call __builtin_sqrt), division helpers, the
+/// shackle_native_hooks struct definition, and every task kernel. Each
 /// symbol is resolved individually via dlsym; there is no registry. When
-/// \p GemmRouted is non-null it receives the number of kernels whose text
-/// contains a hooks->gemm call site; when \p Reordered is non-null, the
-/// number of loop pairs emitted interchanged (emitc/Interchange.h).
+/// \p Stats is non-null it receives the unit's counts.
 std::string
 emitNativeTranslationUnit(const std::vector<NativeTaskKernelSpec> &Tasks,
                           const NativeEmitOptions &Opts,
-                          unsigned *GemmRouted = nullptr,
-                          unsigned *Reordered = nullptr);
+                          NativeEmitStats *Stats = nullptr);
 
 /// Emits the definition of a single kernel function (no preamble).
 std::string emitKernel(const LoopNest &Nest, const std::string &Name);

@@ -8,7 +8,6 @@
 #include "emitc/Interchange.h"
 
 #include "codegen/PathConstraints.h"
-#include "polyhedral/OmegaTest.h"
 
 using namespace shackle;
 
@@ -26,25 +25,6 @@ const ASTNode *pairInner(const ASTNode &N) {
     if (C->Kind != ASTKind::Instance)
       return nullptr;
   return &In;
-}
-
-/// \p E over the nest's dims as a row with a trailing constant.
-ConstraintRow affineRow(const AffineExpr &E) {
-  ConstraintRow Row(E.getNumVars() + 1);
-  for (unsigned D = 0; D < E.getNumVars(); ++D)
-    Row[D] = E.getCoeff(D);
-  Row.back() = E.getConstant();
-  return Row;
-}
-
-/// The indices of \p R, read by instance \p Inst, over the nest's dims.
-std::vector<ConstraintRow> indexRows(const LoopNest &Nest, const ASTNode &Inst,
-                                     const ArrayRef &R) {
-  std::vector<ConstraintRow> Rows;
-  for (const AffineExpr &I : R.Indices)
-    Rows.push_back(affineRow(
-        mapToScan(I, *Inst.S, Inst.VarMap, Nest.NumDims, Nest.NumParams)));
-  return Rows;
 }
 
 /// True when the store of \p Inst moves by exactly one element per step of
@@ -66,69 +46,20 @@ bool unitStrideOuter(const LoopNest &Nest, const ASTNode &Inst, unsigned Outer,
   return InnerMoves;
 }
 
-/// The dependence problem's variables are the nest's dims (the context and
-/// the first instance's o, v), then o' and v'. \p Row, a row over the
-/// nest's dims, over those variables.
-ConstraintRow widened(const ConstraintRow &Row) {
-  ConstraintRow Out(Row);
-  Out.insert(Out.end() - 1, 2, 0);
-  return Out;
-}
-
-/// \p Row read by the second instance: its o and v columns moved to o'
-/// and v'.
-ConstraintRow primed(const ConstraintRow &Row, unsigned O, unsigned V) {
-  ConstraintRow Out = widened(Row);
-  const unsigned ND = Row.size() - 1;
-  std::swap(Out[O], Out[ND]);
-  std::swap(Out[V], Out[ND + 1]);
-  return Out;
-}
-
 /// True when the Omega test proves that no two instances (o,v), (o',v')
 /// of the pair with o < o' and v > v' touch one element of an array with
 /// at least one write, under the constraints on \p Path (which ends at the
-/// pair's inner loop). \p Pair holds the pair's own bounds.
+/// pair's inner loop).
 bool reversesNoDependence(const LoopNest &Nest, const PathConstraints &Path,
-                          const PathConstraints &Pair, const ASTNode &Outer,
-                          const ASTNode &Inner) {
+                          const ASTNode &Outer, const ASTNode &Inner) {
   const unsigned ND = Nest.NumDims, O = Outer.Dim, V = Inner.Dim;
-  Polyhedron Base = Path.polyhedron(2);
-  for (const ConstraintRow &R : Pair.inequalities())
-    Base.addInequality(primed(R, O, V));
+  Polyhedron Pairs = Path.pairs({O, V});
   ConstraintRow Before(ND + 3, 0), After(ND + 3, 0);
   Before[ND] = 1, Before[O] = -1, Before[ND + 2] = -1; // o' - o - 1 >= 0
   After[V] = 1, After[ND + 1] = -1, After[ND + 2] = -1; // v - v' - 1 >= 0
-  Base.addInequality(std::move(Before));
-  Base.addInequality(std::move(After));
-
-  struct Access {
-    const ASTNode *Inst;
-    const ArrayRef *Ref;
-    bool Write;
-  };
-  std::vector<Access> Accesses;
-  for (const ASTNodePtr &C : Inner.Body)
-    for (const auto &[Ref, Write] : C->S->refs())
-      Accesses.push_back({C.get(), Ref, Write});
-  for (const Access &A : Accesses)
-    for (const Access &B : Accesses) {
-      if (A.Ref->ArrayId != B.Ref->ArrayId || !(A.Write || B.Write))
-        continue;
-      Polyhedron Q = Base;
-      const std::vector<ConstraintRow> IA = indexRows(Nest, *A.Inst, *A.Ref);
-      const std::vector<ConstraintRow> IB = indexRows(Nest, *B.Inst, *B.Ref);
-      for (unsigned P = 0; P < IA.size(); ++P) {
-        ConstraintRow Row = widened(IA[P]);
-        const ConstraintRow RB = primed(IB[P], O, V);
-        for (unsigned J = 0; J < Row.size(); ++J)
-          Row[J] -= RB[J];
-        Q.addEquality(std::move(Row));
-      }
-      if (isIntegerEmptyBounded(Q) != FeasVerdict::Empty)
-        return false;
-    }
-  return true;
+  Pairs.addInequality(std::move(Before));
+  Pairs.addInequality(std::move(After));
+  return provesNoConflict(Nest, Pairs, {O, V}, Inner.Body);
 }
 
 /// Fills the interchanged bounds of \p X from the pair's own rows in
@@ -167,7 +98,7 @@ void plan(const LoopNest &Nest, const ASTNode &N, PathConstraints &Path,
     Pair.push(*Inner);
     Interchange X;
     if (Favoured && projectBounds(Pair, N.Dim, Inner->Dim, X) &&
-        reversesNoDependence(Nest, Path, Pair, N, *Inner))
+        reversesNoDependence(Nest, Path, N, *Inner))
       Out.emplace(&N, std::move(X));
     Path.pop();
   } else {

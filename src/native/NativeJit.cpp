@@ -74,6 +74,31 @@ uint64_t fnv1a(uint64_t H, const std::string &S) {
   return fnv1a(H, S.data(), S.size());
 }
 
+/// The one command that compiles a module (and the availability probe):
+/// \p Src into the shared object \p So, compiler output to \p Log.
+/// -ffp-contract=off pins the emitted arithmetic to the interpreter's
+/// multiply-then-add order (no FMA contraction), the precondition for the
+/// bitwise half of the differential oracle. -fopenmp-simd honours the
+/// emitter's `omp simd` marks (emitc/SimdMark.h) without linking an OpenMP
+/// runtime; with no reduction clause a lane does the scalar operations. The
+/// arch flags match the resolved vector level: they widen codegen without
+/// touching the bitwise contract, since FMA only enters through the
+/// hooks->gemm routing, which is behind the ULP policy.
+std::string compileCommand(const NativeJitOptions &Opts, SimdLevel Simd,
+                           const std::string &Src, const std::string &So,
+                           const std::string &Log) {
+  std::string Cmd = "'";
+  Cmd += nativeCompilerPath(Opts);
+  Cmd += "' -std=c++17 -O2 -fPIC -shared -ffp-contract=off -fopenmp-simd";
+  if (Simd == SimdLevel::Avx2)
+    Cmd += " -mavx2 -mfma";
+  else if (Simd == SimdLevel::Avx512)
+    Cmd += " -mavx512f -mavx512vl -mavx2 -mfma";
+  if (!Opts.ExtraFlags.empty())
+    Cmd += " " + Opts.ExtraFlags;
+  return Cmd + " -o '" + So + "' '" + Src + "' > '" + Log + "' 2>&1";
+}
+
 } // namespace
 
 std::string shackle::nativeCompilerPath(const NativeJitOptions &Opts) {
@@ -171,10 +196,12 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   auto T0 = std::chrono::steady_clock::now();
   NativeEmitOptions EOpts;
   EOpts.GemmHooks = Opts.UseMicroBlas;
-  const std::string Text =
-      emitNativeTranslationUnit(Specs, EOpts, &M->Stats.GemmRouted,
-                                &M->Stats.Reordered);
+  NativeEmitStats Emitted;
+  const std::string Text = emitNativeTranslationUnit(Specs, EOpts, &Emitted);
   M->Stats.EmitMs = msSince(T0);
+  M->Stats.GemmRouted = Emitted.GemmRouted;
+  M->Stats.Reordered = Emitted.Reordered;
+  M->Stats.SimdLoops = Emitted.SimdLoops;
   M->Stats.TaskKernels = static_cast<unsigned>(Specs.size());
 
   // 2. Write it to a fresh temp dir.
@@ -198,25 +225,10 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
     }
   }
 
-  // 3. Invoke the compiler. -ffp-contract=off pins the emitted arithmetic
-  // to the interpreter's multiply-then-add order (no FMA contraction), the
-  // precondition for the bitwise half of the differential oracle.
+  // 3. Invoke the compiler.
   T0 = std::chrono::steady_clock::now();
-  const std::string Cxx = nativeCompilerPath(Opts);
-  std::string Cmd = "'" + Cxx + "' -std=c++17 -O2 -fPIC -shared"
-                    " -ffp-contract=off";
-  // Arch flags matching the resolved vector level. -ffp-contract=off above
-  // still forbids FMA contraction in the emitted loops, so these widen
-  // codegen without touching the bitwise contract; FMA only enters through
-  // the hooks->gemm routing, which is behind the ULP policy.
-  if (Simd == SimdLevel::Avx2)
-    Cmd += " -mavx2 -mfma";
-  else if (Simd == SimdLevel::Avx512)
-    Cmd += " -mavx512f -mavx512vl -mavx2 -mfma";
-  if (!Opts.ExtraFlags.empty())
-    Cmd += " " + Opts.ExtraFlags;
-  Cmd += " -o '" + M->SoPath + "' '" + M->SrcPath + "' > '" + M->LogPath +
-         "' 2>&1";
+  const std::string Cmd =
+      compileCommand(Opts, Simd, M->SrcPath, M->SoPath, M->LogPath);
   bool CompiledOk;
   if (injectNativeCompileFail()) {
     // The chaos hook models the compiler crashing or miscompiling: same
@@ -229,7 +241,8 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   M->Stats.CompileMs = msSince(T0);
   if (!CompiledOk) {
     std::string Log = readLogHead(M->LogPath);
-    Diagnostic D = fallbackDiag("compiler '" + Cxx + "' failed");
+    Diagnostic D =
+        fallbackDiag("compiler '" + nativeCompilerPath(Opts) + "' failed");
     if (!Log.empty())
       D.addNote("compiler output: " + Log);
     Diags.push_back(std::move(D));
@@ -284,11 +297,13 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
 }
 
 bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
-  // One probe per resolved compiler+flags per process; the probe compiles
-  // and loads a trivial TU through the exact pipeline compile() uses.
+  // One probe per resolved compiler, flags and vector level per process; the
+  // probe compiles and loads a trivial TU with the command compile() uses.
   static std::mutex ProbeM;
   static std::unordered_map<std::string, bool> Verdicts;
-  const std::string Key = nativeCompilerPath(Opts) + "\x1f" + Opts.ExtraFlags;
+  const SimdLevel Simd = resolveSimdLevel(Opts.Simd);
+  const std::string Key = nativeCompilerPath(Opts) + "\x1f" +
+                          Opts.ExtraFlags + "\x1f" + simdLevelName(Simd);
   std::lock_guard<std::mutex> L(ProbeM);
   if (auto It = Verdicts.find(Key); It != Verdicts.end())
     return It->second;
@@ -302,13 +317,7 @@ bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
     std::string Src = Dir + "/probe.cpp", So = Dir + "/probe.so",
                 Log = Dir + "/cc.log";
     { std::ofstream(Src) << "extern \"C\" long shk_probe() {return 42;}\n"; }
-    std::string Cmd = "'";
-    Cmd += nativeCompilerPath(Opts);
-    Cmd += "' -std=c++17 -O2 -fPIC -shared";
-    if (!Opts.ExtraFlags.empty())
-      Cmd += " " + Opts.ExtraFlags;
-    Cmd += " -o '" + So + "' '" + Src + "' > '" + Log + "' 2>&1";
-    if (std::system(Cmd.c_str()) == 0) {
+    if (std::system(compileCommand(Opts, Simd, Src, So, Log).c_str()) == 0) {
       if (void *H = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL)) {
         using ProbeFn = long (*)();
         auto F = reinterpret_cast<ProbeFn>(dlsym(H, "shk_probe"));

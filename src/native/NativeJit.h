@@ -90,6 +90,9 @@ struct NativeJitStats {
   /// Innermost loop pairs emitted interchanged so the store's unit-stride
   /// loop runs innermost (emitc/Interchange.h), counted over all kernels.
   unsigned Reordered = 0;
+  /// Innermost loops emitted under `omp simd` because no two iterations
+  /// touch one element with a write (emitc/SimdMark.h), over all kernels.
+  unsigned SimdLoops = 0;
   /// The resolved hooks->gemm vector level (SimdLevel::Scalar when
   /// MicroBlas routing is off or the requested width is unsupported).
   SimdLevel SimdUsed = SimdLevel::Scalar;
@@ -153,9 +156,10 @@ private:
 /// The compiler the tier will invoke for \p Opts (resolution order above).
 std::string nativeCompilerPath(const NativeJitOptions &Opts = {});
 
-/// Cheap availability probe: compiles + dlopens a trivial kernel once per
-/// process per resolved compiler, caching the verdict. Tests and the CLI
-/// use it to report (or skip on) an unusable toolchain up front.
+/// Cheap availability probe: compiles + dlopens a trivial kernel with the
+/// module compile command once per process per resolved compiler, flags and
+/// vector level, caching the verdict. Tests and the CLI use it to report
+/// (or skip on) an unusable toolchain up front.
 bool nativeTierAvailable(const NativeJitOptions &Opts = {});
 
 /// Stable hash of the native configuration (resolved compiler, flags,

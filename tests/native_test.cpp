@@ -12,7 +12,8 @@
 //
 // Equality policy (docs/CLI.md "--native"): with MicroBlas routing off the
 // emitted loops give every element the interpreter's operations in the
-// interpreter's order (an interchanged loop pair reverses no dependence)
+// interpreter's order (an interchanged loop pair reverses no dependence, an
+// `omp simd` loop has no two iterations touching one element with a write)
 // and the TU is compiled with -ffp-contract=off, so agreement is BITWISE.
 // With MicroBlas on, matched GEMM blocks keep the ascending-k summation
 // order per element (microGemm is i-k-j), so agreement is still
@@ -25,25 +26,32 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/ShackleDriver.h"
 #include "emitc/EmitC.h"
+#include "emitc/SimdMark.h"
 #include "frontend/Parser.h"
 #include "native/NativeJit.h"
 #include "parallel/ParallelExecutor.h"
 #include "parallel/UndoLog.h"
 #include "programs/Benchmarks.h"
+#include "programs/Registry.h"
+#include "service/Engine.h"
 #include "service/PlanKey.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 using namespace shackle;
 
@@ -121,20 +129,21 @@ protected:
 /// into strict diagonal dominance so Cholesky-style factorizations never
 /// hit sqrt of a negative — the clean-data battery must exercise the
 /// native fast path, not the genuine-poison oracle rerun.
-/// \p Reordered, when non-null, receives the module's count of loop pairs
-/// emitted interchanged.
+/// \p Emitted, when non-null, receives the module's stats (loop pairs
+/// emitted interchanged, loops emitted under `omp simd`).
 void expectOracleAgreement(const Program &P, const ShackleChain &Chain,
                            std::vector<int64_t> Params, bool MicroBlas,
                            double Tol, double Lo, double Hi,
-                           unsigned SpdDim = 0, unsigned *Reordered = nullptr) {
+                           unsigned SpdDim = 0,
+                           NativeJitStats *Emitted = nullptr) {
   ParallelPlan Plan = ParallelPlan::build(P, Chain, Params);
   ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M = buildModule(Plan, MicroBlas, &Diags);
   ASSERT_NE(M, nullptr) << (Diags.empty() ? "" : Diags.front().str());
   EXPECT_EQ(M->usesMicroBlas(), MicroBlas);
-  if (Reordered)
-    *Reordered = M->stats().Reordered;
+  if (Emitted)
+    *Emitted = M->stats();
 
   for (uint64_t Seed : {7ull, 23ull, 101ull}) {
     ProgramInstance Init(P, Params);
@@ -254,10 +263,11 @@ TEST_F(NativeTest, TriangularInterchangeBitwise) {
       SCOPED_TRACE(TwoLevel ? "two-level" : "flat");
       const ShackleChain Chain = TwoLevel ? choleskyShackleProduct(P, 8, true)
                                           : choleskyShackleStores(P, 8);
-      unsigned Reordered = 0;
+      NativeJitStats Emitted;
       expectOracleAgreement(P, Chain, {N}, /*MicroBlas=*/false, /*Tol=*/0.0,
-                            0.5, 1.5, /*SpdDim=*/N, &Reordered);
-      EXPECT_GT(Reordered, 0u);
+                            0.5, 1.5, /*SpdDim=*/N, &Emitted);
+      EXPECT_GT(Emitted.Reordered, 0u);
+      EXPECT_GT(Emitted.SimdLoops, 0u);
     }
   }
 }
@@ -282,10 +292,10 @@ void expectStencilInterchange(const std::string &Read, bool Expected) {
   Rows.Planes.push_back({/*Normal=*/{1, 0}, /*BlockSize=*/8, false});
   ShackleChain Chain;
   Chain.Factors.push_back(DataShackle::onStores(*R.Prog, Rows));
-  unsigned Reordered = 0;
+  NativeJitStats Emitted;
   expectOracleAgreement(*R.Prog, Chain, {30}, /*MicroBlas=*/false,
-                        /*Tol=*/0.0, 0.5, 1.5, /*SpdDim=*/0, &Reordered);
-  EXPECT_EQ(Reordered > 0, Expected) << Read;
+                        /*Tol=*/0.0, 0.5, 1.5, /*SpdDim=*/0, &Emitted);
+  EXPECT_EQ(Emitted.Reordered > 0, Expected) << Read;
 }
 
 TEST_F(NativeTest, ReversedDependenceKeepsLoopOrder) {
@@ -313,11 +323,10 @@ TEST_F(NativeTest, EmittedUpdateRunsUnitStrideInnermost) {
       K.Roots.push_back(Seg.Node);
     Specs.push_back(std::move(K));
   }
-  unsigned Reordered = 0;
+  NativeEmitStats Emitted;
   std::istringstream TU(
-      emitNativeTranslationUnit(Specs, NativeEmitOptions(), nullptr,
-                                &Reordered));
-  EXPECT_GT(Reordered, 0u);
+      emitNativeTranslationUnit(Specs, NativeEmitOptions(), &Emitted));
+  EXPECT_GT(Emitted.Reordered, 0u);
   // S3 is the only statement that subtracts: a0[((K))*(N) + (L)] = (... -
   // ...), with L, the unit-stride index, last in the column-major offset.
   std::string Line, InnerLoop;
@@ -337,6 +346,155 @@ TEST_F(NativeTest, EmittedUpdateRunsUnitStrideInnermost) {
     }
   }
   EXPECT_GT(Stores, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// SIMD marks: an innermost loop runs in lanes only when no two of its
+// iterations touch one element with a write
+//===----------------------------------------------------------------------===//
+
+/// The loops of \p Src's source-order nest that the emitter marks
+/// `omp simd`.
+std::size_t simdMarks(const std::string &Src) {
+  ParseResult R = parseProgram("param N\n"
+                               "array A[N]\n"
+                               "array B[N]\n"
+                               "array C[N]\n"
+                               "array S[1]\n" +
+                               Src);
+  EXPECT_TRUE(R) << R.Error;
+  if (!R)
+    return 0;
+  const LoopNest Nest = generateOriginalCode(*R.Prog);
+  return planSimdLoops(Nest, planInterchanges(Nest)).size();
+}
+
+TEST(SimdMark, RecurrenceStaysScalar) {
+  // Iteration i reads the A[i-1] that iteration i-1 wrote.
+  EXPECT_EQ(simdMarks("do i = 1, N-1\n"
+                      "  A[i] = A[i-1] + B[i]\n"
+                      "end\n"),
+            0u);
+  // Control: reading B[i-1] carries nothing.
+  EXPECT_EQ(simdMarks("do i = 1, N-1\n"
+                      "  A[i] = B[i-1] + B[i]\n"
+                      "end\n"),
+            1u);
+}
+
+TEST(SimdMark, ReductionStaysScalar) {
+  // Every iteration writes S[0]: without a reduction clause the lanes would
+  // race, and with one the sum would be reassociated.
+  EXPECT_EQ(simdMarks("do i = 0, N-1\n"
+                      "  S[0] = S[0] + A[i]\n"
+                      "end\n"),
+            0u);
+  // Control: one accumulator per iteration.
+  EXPECT_EQ(simdMarks("do i = 0, N-1\n"
+                      "  C[i] = C[i] + A[i]\n"
+                      "end\n"),
+            1u);
+}
+
+TEST(SimdMark, CrossStatementAntiDependenceStaysScalar) {
+  // S2(i) reads A[i+1] before S1(i+1) overwrites it. Lanes run S1 for every
+  // lane before S2, so S2 would read the new value.
+  EXPECT_EQ(simdMarks("do i = 0, N-2\n"
+                      "  S1: A[i] = B[i] * 0.5\n"
+                      "  S2: C[i] = A[i+1] + 1.0\n"
+                      "end\n"),
+            0u);
+  // Control: S2(i) reads only what S1(i) wrote.
+  EXPECT_EQ(simdMarks("do i = 0, N-2\n"
+                      "  S1: A[i] = B[i] * 0.5\n"
+                      "  S2: C[i] = A[i] + 1.0\n"
+                      "end\n"),
+            1u);
+}
+
+/// A column-major sweep along rows, blocked in row bands: A[i][j] reads
+/// A[i][j-1], so the source inner loop j carries a dependence and i does
+/// not. The pair is interchanged (i, the store's unit-stride loop, runs
+/// inside), and the mark goes to i, the pair's new innermost loop.
+TEST_F(NativeTest, InterchangedPairMarksItsNewInnermostLoop) {
+  ParseResult R = parseProgram("param N\n"
+                               "array A[N][N] colmajor\n"
+                               "do i = 1, N-2\n"
+                               "  do j = 1, N-2\n"
+                               "    A[i][j] = 0.5 * A[i][j-1] + 0.25 * A[i][j]\n"
+                               "  end\n"
+                               "end\n");
+  ASSERT_TRUE(R) << R.Error;
+  DataBlocking Rows;
+  Rows.ArrayId = 0;
+  Rows.Planes.push_back({/*Normal=*/{1, 0}, /*BlockSize=*/8, false});
+  ShackleChain Chain;
+  Chain.Factors.push_back(DataShackle::onStores(*R.Prog, Rows));
+  NativeJitStats Emitted;
+  expectOracleAgreement(*R.Prog, Chain, {30}, /*MicroBlas=*/false,
+                        /*Tol=*/0.0, 0.5, 1.5, /*SpdDim=*/0, &Emitted);
+  EXPECT_GT(Emitted.Reordered, 0u);
+  EXPECT_EQ(Emitted.SimdLoops, Emitted.Reordered);
+
+  const LoopNest Nest = generateShackledCode(*R.Prog, Chain);
+  const InterchangeMap Swaps = planInterchanges(Nest);
+  const SimdMarks Marks = planSimdLoops(Nest, Swaps);
+  ASSERT_FALSE(Swaps.empty());
+  EXPECT_EQ(Marks.size(), Swaps.size());
+  std::string Outer; // the dim of the pairs' old outer loop
+  for (const auto &[Node, X] : Swaps) {
+    EXPECT_EQ(Marks.count(Node), 1u);
+    Outer = Nest.DimNames[Node->Dim];
+  }
+  const std::string Text = emitKernel(Nest, "k");
+  const std::size_t Pragma = Text.find("_Pragma(\"omp simd\")");
+  ASSERT_NE(Pragma, std::string::npos) << Text;
+  EXPECT_EQ(Text.compare(Text.find("for (", Pragma), 14 + Outer.size(),
+                         "for (int64_t " + Outer + " "),
+            0)
+      << Text;
+}
+
+/// The chol-768 unit (cholesky-right product-wr, N=768, B=64) runs every
+/// trailing-update store and every column scaling in an `omp simd` loop.
+TEST_F(NativeTest, Cholesky768MarksItsTrailingUpdateLoops) {
+  BenchSpec Spec = makeCholeskyRight();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan =
+      ParallelPlan::build(P, choleskyShackleProduct(P, 64, true), {768});
+  ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
+  std::vector<NativeTaskKernelSpec> Specs;
+  for (const BlockTask &T : Plan.partition().Tasks) {
+    NativeTaskKernelSpec K{"k" + std::to_string(Specs.size()), &Plan.nest(),
+                           {}};
+    for (const BlockTask::Segment &Seg : T.Segments)
+      K.Roots.push_back(Seg.Node);
+    Specs.push_back(std::move(K));
+  }
+  NativeEmitStats Emitted;
+  std::istringstream TU(
+      emitNativeTranslationUnit(Specs, NativeEmitOptions(), &Emitted));
+  // Each store line below its loop: S3 subtracts, S2 divides.
+  std::string Line, Prev;
+  bool InMarked = false;
+  unsigned Updates = 0, Scalings = 0;
+  while (std::getline(TU, Line)) {
+    if (Line.find("for (int64_t ") != std::string::npos)
+      InMarked = Prev.find("_Pragma(\"omp simd\")") != std::string::npos;
+    const bool Update = Line.find("] = (") != std::string::npos &&
+                        Line.find(" - (") != std::string::npos;
+    const bool Scaling = Line.find("] = (") != std::string::npos &&
+                         Line.find(" / ") != std::string::npos;
+    if (Update || Scaling) {
+      EXPECT_TRUE(InMarked) << Line;
+      Updates += Update;
+      Scalings += Scaling;
+    }
+    Prev = Line;
+  }
+  EXPECT_GT(Updates, 0u);
+  EXPECT_GT(Scalings, 0u);
+  EXPECT_EQ(Emitted.SimdLoops, Updates + Scalings);
 }
 
 //===----------------------------------------------------------------------===//
@@ -405,14 +563,19 @@ TEST_F(NativeTest, EmittedTextHasAbiAndGemmRouting) {
   On.GemmHooks = true;
   std::vector<NativeTaskKernelSpec> Specs{
       {"shk_native_t0", &Plan.nest(), Roots}};
-  unsigned Routed = 0;
-  std::string TU = emitNativeTranslationUnit(Specs, On, &Routed);
+  NativeEmitStats Emitted;
+  std::string TU = emitNativeTranslationUnit(Specs, On, &Emitted);
   EXPECT_NE(TU.find("shackle_native_abi_version"), std::string::npos);
   EXPECT_NE(TU.find("struct shackle_native_hooks"), std::string::npos);
   EXPECT_NE(TU.find("extern \"C\" void shk_native_t0("), std::string::npos);
   // Kernels only: undo footprints come from the plan, not the module.
   EXPECT_EQ(TU.find("_writes("), std::string::npos);
-  EXPECT_EQ(Routed, 1u);
+  EXPECT_EQ(Emitted.GemmRouted, 1u);
+  // The lean unit: <stdint.h> is its only include, so no C++ header is
+  // parsed for every module.
+  EXPECT_NE(TU.find("#include <stdint.h>"), std::string::npos);
+  EXPECT_EQ(TU.find("#include <cmath>"), std::string::npos);
+  EXPECT_EQ(TU.find("#include <cstdint>"), std::string::npos);
   // The MMM block body is a dense rectangular triple loop: the matcher
   // must route it, guarded, through hooks->gemm with plain loops kept as
   // the else branch.
@@ -424,8 +587,8 @@ TEST_F(NativeTest, EmittedTextHasAbiAndGemmRouting) {
   Off.GemmHooks = false;
   std::string Plain = emitNativeTaskKernel(Plan.nest(), Roots, "k", Off);
   EXPECT_EQ(Plain.find("hooks->gemm"), std::string::npos);
-  emitNativeTranslationUnit(Specs, Off, &Routed);
-  EXPECT_EQ(Routed, 0u);
+  emitNativeTranslationUnit(Specs, Off, &Emitted);
+  EXPECT_EQ(Emitted.GemmRouted, 0u);
 }
 
 TEST_F(NativeTest, ModuleStatsCountKernelsAndRouting) {
@@ -477,6 +640,38 @@ TEST(NativeFallback, MissingCompilerProbesFalseAndCompileFallsBack) {
   EXPECT_FALSE(S.Failed);
   EXPECT_EQ(S.NativeSegments, 0u);
   EXPECT_TRUE(Ref.bitwiseEqual(Par));
+}
+
+/// A compiler that rejects one flag of the module command (here the one
+/// that honours the `omp simd` marks) must fail the probe as well as every
+/// module: the probe compiles with the module's own command.
+TEST_F(NativeTest, ProbeRejectsACompilerThatRejectsAModuleFlag) {
+  const char *Tmp = std::getenv("TMPDIR");
+  const std::string Script = std::string(Tmp && *Tmp ? Tmp : "/tmp") +
+                             "/shackle-no-openmp-simd-" +
+                             std::to_string(getpid()) + ".sh";
+  {
+    std::ofstream Out(Script);
+    Out << "#!/bin/sh\n"
+           "for a in \"$@\"; do\n"
+           "  [ \"$a\" = -fopenmp-simd ] && exit 1\n"
+           "done\n"
+           "exec '"
+        << nativeCompilerPath() << "' \"$@\"\n";
+  }
+  ASSERT_EQ(std::system(("chmod +x '" + Script + "'").c_str()), 0);
+  NativeJitOptions Opts;
+  Opts.Compiler = Script;
+  EXPECT_FALSE(nativeTierAvailable(Opts));
+
+  BenchSpec Spec = makeMatMul();
+  const Program &P = *Spec.Prog;
+  ParallelPlan Plan = ParallelPlan::build(P, mmmShackleCxA(P, 8), {32});
+  std::vector<Diagnostic> Diags;
+  EXPECT_EQ(NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags),
+            nullptr);
+  EXPECT_TRUE(hasFallbackDiag(Diags));
+  std::remove(Script.c_str());
 }
 
 TEST_F(NativeChaosTest, InjectedCompilerFailureFallsBack) {
@@ -732,6 +927,10 @@ TEST_F(NativeTest, CliNativeStatsLineReportsKernels) {
              "--native=task --native-microblas=off --verify");
   EXPECT_EQ(RcChol, 0) << Chol;
   EXPECT_EQ(nativeCount(Chol, "reordered="), 4) << Chol;
+  // Its four trailing updates and three column scalings run in lanes; the
+  // matmul k loops are reductions and stay scalar.
+  EXPECT_EQ(nativeCount(Chol, "simd-loops="), 7) << Chol;
+  EXPECT_EQ(nativeCount(Out, "simd-loops="), 0) << Out;
   EXPECT_NE(Chol.find("bitwise-identical"), std::string::npos) << Chol;
 }
 
@@ -745,6 +944,98 @@ TEST_F(NativeTest, CliGemmRoutedFollowsMicroBlasFlag) {
   EXPECT_EQ(RcOff, 0) << Off;
   EXPECT_EQ(gemmRouted(Off), 0) << Off;
 }
+
+//===----------------------------------------------------------------------===//
+// Battery: every registry program/config and every examples/dsl file at
+// N=30 and N=64, routing off, bitwise against serial execution
+//===----------------------------------------------------------------------===//
+
+struct BatteryCase {
+  std::string Name; ///< Test-name suffix.
+  ProgramSource Src;
+  int64_t N;
+};
+
+void PrintTo(const BatteryCase &C, std::ostream *OS) { *OS << C.Name; }
+
+std::vector<BatteryCase> batteryCases() {
+  std::vector<std::pair<std::string, ProgramSource>> Sources;
+  for (const auto &[Bench, Entry] : benchRegistry())
+    for (const auto &Config : Entry.Configs) {
+      ProgramSource S;
+      S.Benchmark = Bench;
+      S.Config = Config.first;
+      Sources.emplace_back(Bench + "_" + Config.first, std::move(S));
+    }
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E : std::filesystem::directory_iterator(
+           std::string(SHACKLE_SOURCE_DIR) + "/examples/dsl"))
+    if (E.path().extension() == ".dsl")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream In(F);
+    std::stringstream Text;
+    Text << In.rdbuf();
+    ProgramSource S;
+    S.Dsl = Text.str();
+    // Block the array the first statement stores to.
+    if (ParseResult R = parseProgram(*S.Dsl))
+      S.Array = R.Prog->getArray(R.Prog->getStmt(0).LHS.ArrayId).Name;
+    Sources.emplace_back("dsl_" + F.stem().string(), std::move(S));
+  }
+  std::vector<BatteryCase> Cases;
+  for (int64_t N : {30, 64})
+    for (auto [Name, S] : Sources) {
+      std::replace_if(
+          Name.begin(), Name.end(),
+          [](char C) { return !std::isalnum(static_cast<unsigned char>(C)); },
+          '_');
+      S.Blocks = {8};
+      Cases.push_back({Name + "_N" + std::to_string(N), std::move(S), N});
+    }
+  return Cases;
+}
+
+class NativeBattery : public ::testing::TestWithParam<BatteryCase> {
+protected:
+  void SetUp() override {
+    if (!nativeTierAvailable())
+      GTEST_SKIP() << "no usable native compiler on this machine";
+  }
+};
+
+/// The Engine pipeline of `shackle run --block=8 --native=task
+/// --native-microblas=off --verify` (so an automatic task level), with
+/// every parameter after N set to 4 (a band width, a sweep count).
+TEST_P(NativeBattery, RoutingOffIsBitwiseAgainstSerial) {
+  const BatteryCase &C = GetParam();
+  Expected<Resolved> T = resolveProgram(C.Src);
+  ASSERT_TRUE(T) << T.diagnostic().str();
+  RunRequest Req;
+  Req.Target = std::move(T.get());
+  Req.Params.assign(Req.Target.Prog->getNumParams(), 4);
+  Req.Params[0] = C.N;
+  Req.TaskLevel = PlanKeyAutoTaskLevel;
+  Req.Run.NumThreads = 4;
+  NativeJitOptions Opts;
+  Opts.UseMicroBlas = false;
+  Req.Native = Opts;
+  Req.Verify = true;
+  const RunResult R = Engine(detectMachineShape()).run(Req);
+  ASSERT_FALSE(R.Error) << R.Error->str();
+  if (R.Plan->parallelReady()) {
+    ASSERT_NE(R.Native, nullptr)
+        << (R.NativeDiags.empty() ? "" : R.NativeDiags.front().str());
+  }
+  EXPECT_EQ(R.Verify, VerifyOutcome::Bitwise) << "max diff " << R.MaxDiff;
+}
+
+INSTANTIATE_TEST_SUITE_P(RegistryAndDsl, NativeBattery,
+                         ::testing::ValuesIn(batteryCases()),
+                         [](const ::testing::TestParamInfo<BatteryCase> &I) {
+                           return I.param.Name;
+                         });
 
 TEST(NativeFallbackCli, BrokenCompilerFallsBackAndStillVerifies) {
   auto [Rc, Out] = runCli(

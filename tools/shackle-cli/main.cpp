@@ -571,11 +571,11 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
   if (Req.Native && Res.Native) {
     const NativeJitStats &NS = Res.Native->stats();
     std::printf("native: mode=%s kernels=%u gemm-routed=%u reordered=%u "
-                "simd=%s cache=%s segments=%llu interp=%llu task-calls=%llu "
-                "oracle-reruns=%llu "
+                "simd-loops=%u simd=%s cache=%s segments=%llu interp=%llu "
+                "task-calls=%llu oracle-reruns=%llu "
                 "emit=%.2fms compile=%.2fms load=%.2fms\n",
                 NativeMode.c_str(), NS.TaskKernels, NS.GemmRouted,
-                NS.Reordered, simdLevelName(NS.SimdUsed),
+                NS.Reordered, NS.SimdLoops, simdLevelName(NS.SimdUsed),
                 Res.NativeCacheHit ? "hit" : "miss",
                 ull(Stats.NativeSegments), ull(Stats.InterpSegments),
                 ull(Stats.NativeTaskCalls), ull(Stats.NativeOracleReruns),
