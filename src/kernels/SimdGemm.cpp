@@ -9,7 +9,9 @@
 #include "CpuFeatures.h"
 #include "MicroBlas.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SHACKLE_X86 1
@@ -148,21 +150,60 @@ gemmTileAvx2_6x8(double *__restrict C, const double *__restrict A,
   _mm256_storeu_pd(C + 5 * Ldc + 4, C51);
 }
 
+//===----------------------------------------------------------------------===//
+// The shared driver: full tiles strip by strip, B packed when reused.
+//===----------------------------------------------------------------------===//
+
+/// Rows of B one packed strip holds: 256 x 16 doubles is 32 KB for the 4x16
+/// tile, 16 KB for the 6x8 one.
+constexpr int64_t PackKC = 256;
+
+using TileFn = void (*)(double *, const double *, const double *, int64_t K,
+                        int64_t Ldc, int64_t Lda, int64_t Ldb);
+
+/// C += A*B with MR x NR register tiles, column strip outermost. When more
+/// than one row tile reads a strip, it is copied PackKC rows at a time into
+/// a contiguous buffer (leading dimension NR) and every row tile reads the
+/// copy, so the strip's rows no longer sit Ldb apart in the same L1 sets.
+/// The tile function, its ascending k and its operands are unchanged;
+/// splitting K only stores C and reloads it, which is exact, so packing is
+/// bitwise-neutral. The column tail goes to \p Tail one MR-row slice at a
+/// time and the row tail in one call, so no remainder call ever packs.
+template <int64_t MR, int64_t NR, TileFn Tile, GemmKernelFn Tail>
+static void gemmPanel(double *C, const double *A, const double *B, int64_t M,
+                      int64_t N, int64_t K, int64_t Ldc, int64_t Lda,
+                      int64_t Ldb) {
+  alignas(64) static thread_local double Packed[PackKC * NR];
+  const int64_t MFull = M - M % MR, NFull = N - N % NR;
+  const bool Pack = MFull / MR >= 2;
+  for (int64_t J = 0; J < NFull; J += NR) {
+    if (!Pack) {
+      for (int64_t I = 0; I < MFull; I += MR)
+        Tile(C + I * Ldc + J, A + I * Lda, B + J, K, Ldc, Lda, Ldb);
+      continue;
+    }
+    for (int64_t P0 = 0; P0 < K; P0 += PackKC) {
+      const int64_t Kc = std::min(PackKC, K - P0);
+      for (int64_t P = 0; P < Kc; ++P)
+        std::memcpy(Packed + P * NR, B + (P0 + P) * Ldb + J,
+                    NR * sizeof(double));
+      for (int64_t I = 0; I < MFull; I += MR)
+        Tile(C + I * Ldc + J, A + I * Lda + P0, Packed, Kc, Ldc, Lda, NR);
+    }
+  }
+  if (NFull < N)
+    for (int64_t I = 0; I < MFull; I += MR)
+      Tail(C + I * Ldc + NFull, A + I * Lda, B + NFull, MR, N - NFull, K, Ldc,
+           Lda, Ldb);
+  if (MFull < M)
+    Tail(C + MFull * Ldc, A + MFull * Lda, B, M - MFull, N, K, Ldc, Lda, Ldb);
+}
+
 void microGemmAvx2(double *C, const double *A, const double *B, int64_t M,
                    int64_t N, int64_t K, int64_t Ldc, int64_t Lda,
                    int64_t Ldb) {
-  const int64_t MR = 6, NR = 8;
-  int64_t I = 0;
-  for (; I + MR <= M; I += MR) {
-    int64_t J = 0;
-    for (; J + NR <= N; J += NR)
-      gemmTileAvx2_6x8(C + I * Ldc + J, A + I * Lda, B + J, K, Ldc, Lda, Ldb);
-    if (J < N)
-      microGemm(C + I * Ldc + J, A + I * Lda, B + J, MR, N - J, K, Ldc, Lda,
-                Ldb);
-  }
-  if (I < M)
-    microGemm(C + I * Ldc, A + I * Lda, B, M - I, N, K, Ldc, Lda, Ldb);
+  gemmPanel<6, 8, gemmTileAvx2_6x8, microGemm>(C, A, B, M, N, K, Ldc, Lda,
+                                               Ldb);
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,19 +306,8 @@ void microGemmAvx512(double *C, const double *A, const double *B, int64_t M,
       microGemmAvx2(C + I * Ldc, A + I * Lda, B, M - I, N, K, Ldc, Lda, Ldb);
     return;
   }
-  const int64_t MR = 4, NR = 16;
-  int64_t I = 0;
-  for (; I + MR <= M; I += MR) {
-    int64_t J = 0;
-    for (; J + NR <= N; J += NR)
-      gemmTileAvx512_4x16(C + I * Ldc + J, A + I * Lda, B + J, K, Ldc, Lda,
-                          Ldb);
-    if (J < N)
-      microGemmAvx2(C + I * Ldc + J, A + I * Lda, B + J, MR, N - J, K, Ldc,
-                    Lda, Ldb);
-  }
-  if (I < M)
-    microGemmAvx2(C + I * Ldc, A + I * Lda, B, M - I, N, K, Ldc, Lda, Ldb);
+  gemmPanel<4, 16, gemmTileAvx512_4x16, microGemmAvx2>(C, A, B, M, N, K, Ldc,
+                                                      Lda, Ldb);
 }
 
 #else // !SHACKLE_X86

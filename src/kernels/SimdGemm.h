@@ -23,8 +23,23 @@
 /// with routing off results are bitwise-identical to the interpreter; with
 /// routing on they are within the documented 1e-12 absolute bound.
 ///
-/// Ragged edges (M % MR, N % NR) fall back to the scalar microGemm on the
-/// remainder submatrices, so every shape is legal for every kernel.
+/// Ragged edges (M % MR, N % NR) fall back to a narrower kernel on the
+/// remainder submatrices (the column tail one MR-row slice at a time), so
+/// every shape is legal for every kernel.
+///
+/// The full tiles run column strip by column strip. When a strip is read by
+/// more than one row tile (M / MR >= 2), up to 256 of its rows at a time are
+/// copied into a thread-local, 64-byte-aligned buffer with leading dimension
+/// NR, and the tile function reads that copy. Without it, a 64x64 block of a
+/// 1024-wide array reads its strip from rows 8 KB apart that share L1 sets,
+/// and the AVX-512 kernel's time depended on where the arrays started: 74 ms
+/// vs 46 ms for the mmm-1024 call sequence, 16 B past a page boundary vs
+/// staggered 1 KB apart; packed, both take 46-49 ms (4-vCPU Xeon VM, gcc
+/// 12.2, one pinned CPU, best of 7). Packing is
+/// bitwise-neutral: the same tile function sees the same values with k
+/// ascending, and the K chunks only store C and reload it, which is exact.
+/// A single row tile reads B in place, so a whole-panel call equals the same
+/// call issued one MR-row slice at a time, bit for bit.
 ///
 /// The functions are compiled with GCC/Clang `target` attributes inside a
 /// plain TU — no special -m flags leak into the rest of the library — and

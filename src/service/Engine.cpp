@@ -195,9 +195,11 @@ RunResult Engine::run(const RunRequest &Req) const {
 
   // The native module cache is keyed by the plan key mixed with the native
   // config hash, so a compiler/flag change never revives a stale module.
-  // bench/e2e/Pipeline.cpp computes the same key.
+  // bench/e2e/Pipeline.cpp computes the same key. A plan that is not
+  // parallel-ready runs the serial fallback, which calls no task kernel,
+  // so it gets no module.
   ParallelRunOptions RunOpts = Req.Run;
-  if (Req.Native && Plan.partition().OK) {
+  if (Req.Native && Plan.parallelReady()) {
     const uint64_t ModKey = R.Key.digest() ^ nativeConfigHash(*Req.Native);
     R.Native = NativeModuleCache::instance().lookup(ModKey);
     R.NativeCacheHit = R.Native != nullptr;

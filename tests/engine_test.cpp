@@ -219,6 +219,47 @@ TEST(EngineConcurrency, ThreadsShareOneBuildAndOneChecksum) {
   EXPECT_EQ(Builds, 1u);
 }
 
+TEST(EngineNative, SerialFallbackPlansCompileNoModule) {
+  // A plan whose partition is OK but whose DAG is unusable runs the serial
+  // fallback, which never calls a task kernel: the engine must not pay a
+  // cc for it. The plan is put in the cache first with MaxEdges=1, so the
+  // engine's run finds it there.
+  ProgramSource Src;
+  Src.Benchmark = "cholesky-right";
+  Src.Config = "stores";
+  Src.Blocks = {8};
+  Expected<Resolved> R = resolveProgram(Src);
+  ASSERT_TRUE(R) << R.diagnostic().str();
+  RunRequest Req;
+  Req.Target = std::move(R.get());
+  Req.Params = {32};
+  Req.Native = NativeJitOptions();
+  Req.Verify = true;
+
+  PlanCache Plans;
+  const MachineShape Shape{};
+  const Program &P = *Req.Target.Prog;
+  PlanCache::Outcome Seeded = Plans.getOrBuild(
+      makePlanKey(P, Req.Target.Chain, Req.Params, 0, Shape), Req.Target.Prog,
+      [&] {
+        ParallelPlanOptions Opts;
+        Opts.MaxEdges = 1;
+        return ParallelPlan::build(P, Req.Target.Chain, Req.Params, Opts);
+      });
+  ASSERT_TRUE(Seeded.Plan);
+  ASSERT_TRUE(Seeded.Plan->Plan.partition().OK);
+  ASSERT_FALSE(Seeded.Plan->Plan.parallelReady());
+
+  const std::size_t ModulesBefore = NativeModuleCache::instance().size();
+  RunResult Res = Engine(Shape, &Plans).run(Req);
+  ASSERT_FALSE(Res.Error) << Res.Error->str();
+  EXPECT_TRUE(Res.Hit);
+  EXPECT_EQ(Res.Native, nullptr);
+  EXPECT_EQ(NativeModuleCache::instance().size(), ModulesBefore);
+  EXPECT_EQ(Res.Stats.Mode, ParallelMode::SerialFallback);
+  EXPECT_EQ(Res.Verify, VerifyOutcome::Bitwise);
+}
+
 /// The oracle-reruns count on the native: line, or -1 when absent.
 long oracleReruns(const std::string &Out) {
   std::size_t At = Out.find("oracle-reruns=");

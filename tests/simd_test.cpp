@@ -36,9 +36,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,10 +105,12 @@ void expectKernelAgreement(GemmKernelFn Fn, int64_t M, int64_t N, int64_t K) {
 
 void runKernelBattery(GemmKernelFn Fn) {
   // Full tiles, ragged edges in every dimension, sub-tile shapes, and the
-  // narrow-N (8-wide) blocks the paper's register blocking produces.
-  for (int64_t M : {1, 3, 6, 7, 8, 13, 16, 24, 64})
+  // narrow-N (8-wide) blocks the paper's register blocking produces. M=100
+  // is many row tiles with a ragged tail, so B strips are packed; K above
+  // 256 crosses the packed strip's K-chunk boundary.
+  for (int64_t M : {1, 3, 6, 7, 8, 13, 16, 24, 64, 100})
     for (int64_t N : {1, 5, 8, 9, 16, 17, 64})
-      for (int64_t K : {1, 4, 8, 33, 64})
+      for (int64_t K : {1, 4, 8, 33, 64, 257, 600})
         expectKernelAgreement(Fn, M, N, K);
 }
 
@@ -119,6 +124,62 @@ TEST(SimdKernel, Avx512MatchesScalar) {
   if (!cpuHasAvx512())
     GTEST_SKIP() << "no AVX-512F on this part";
   runKernelBattery(&microGemmAvx512);
+}
+
+/// C += A*B as one call and as one call per \p MR-row slice. A slice holds
+/// a single row tile, which reads B in place, so this pins packing to the
+/// bit: the whole panel packs its B strips and must still memcmp-equal the
+/// slices. Ld = 1024 puts every B row of a strip in the same L1 sets.
+void expectPackingBitwise(GemmKernelFn Fn, int64_t MR, int64_t M, int64_t N,
+                          int64_t K, int64_t Ld) {
+  const int64_t Ldc = Ld, Ldb = Ld, Lda = Ld == 1024 ? Ld : K + 3;
+  std::vector<double> A(M * Lda), B(K * Ldb), Whole(M * Ldc);
+  uint64_t X = 777 + static_cast<uint64_t>(M * 1000 + N * 100 + K);
+  auto Next = [&X]() {
+    X = X * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(X >> 11) * 0x1.0p-53 - 0.5;
+  };
+  for (double &V : A)
+    V = Next();
+  for (double &V : B)
+    V = Next();
+  for (double &V : Whole)
+    V = Next();
+  std::vector<double> Sliced = Whole;
+
+  Fn(Whole.data(), A.data(), B.data(), M, N, K, Ldc, Lda, Ldb);
+  for (int64_t I = 0; I < M; I += MR)
+    Fn(Sliced.data() + I * Ldc, A.data() + I * Lda, B.data(),
+       std::min(MR, M - I), N, K, Ldc, Lda, Ldb);
+  EXPECT_EQ(std::memcmp(Whole.data(), Sliced.data(),
+                        Whole.size() * sizeof(double)),
+            0)
+      << "M=" << M << " N=" << N << " K=" << K << " Ld=" << Ld;
+}
+
+TEST(SimdKernel, PackedPanelsMatchRowSlicesBitwise) {
+  struct Level {
+    bool Has;
+    GemmKernelFn Fn;
+    int64_t MR;
+  };
+  const Level Levels[] = {{cpuHasAvx2Fma(), &microGemmAvx2, 6},
+                          {cpuHasAvx512(), &microGemmAvx512, 4}};
+  bool Ran = false;
+  for (const Level &L : Levels) {
+    if (!L.Has)
+      continue;
+    Ran = true;
+    // N >= 16 keeps the AVX-512 driver off its 8x8 narrow path, whose row
+    // tile is 8 rows rather than MR. 37 and 70 are ragged at both widths.
+    for (int64_t M : {12, 101})
+      for (int64_t N : {16, 37, 70})
+        for (int64_t K : {64, 600})
+          for (int64_t Ld : {N + 3, int64_t(1024)})
+            expectPackingBitwise(L.Fn, L.MR, M, N, K, Ld);
+  }
+  if (!Ran)
+    GTEST_SKIP() << "no AVX2+FMA on this part";
 }
 
 //===----------------------------------------------------------------------===//
@@ -139,7 +200,28 @@ TEST(SimdMode, ParseRoundTrips) {
   EXPECT_FALSE(parseSimdMode("", M));
 }
 
+/// Unsets SHACKLE_NATIVE_SIMD for one scope and restores it after, so a
+/// test about the requested mode holds on a CI leg that forces a level.
+class NoSimdOverride {
+public:
+  NoSimdOverride() {
+    if (const char *V = std::getenv("SHACKLE_NATIVE_SIMD"))
+      Saved = V;
+    unsetenv("SHACKLE_NATIVE_SIMD");
+  }
+  ~NoSimdOverride() {
+    if (Saved)
+      setenv("SHACKLE_NATIVE_SIMD", Saved->c_str(), 1);
+  }
+  NoSimdOverride(const NoSimdOverride &) = delete;
+  NoSimdOverride &operator=(const NoSimdOverride &) = delete;
+
+private:
+  std::optional<std::string> Saved;
+};
+
 TEST(SimdMode, OffAlwaysResolvesScalar) {
+  NoSimdOverride Clear;
   EXPECT_EQ(resolveSimdLevel(SimdMode::Off), SimdLevel::Scalar);
 }
 
@@ -336,6 +418,7 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
 /// Modules compiled for different resolved SIMD levels must not share a
 /// cache slot: the config hash separates them.
 TEST(SimdConfig, NativeConfigHashSeparatesSimdLevels) {
+  NoSimdOverride Clear;
   NativeJitOptions A;
   NativeJitOptions C = A;
   C.Simd = SimdMode::Off;
@@ -352,7 +435,8 @@ class SimdCliTest : public SimdNativeTest {};
 
 TEST_F(SimdCliTest, NativeSimdOffReportsScalar) {
   auto [Code, Out] = runCli("run matmul two-level --block=8 --params=32 "
-                            "--native=task --native-simd=off --verify");
+                            "--native=task --native-simd=off --verify",
+                            "-u SHACKLE_NATIVE_SIMD");
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("simd=scalar"), std::string::npos) << Out;
   EXPECT_NE(Out.find("task-calls="), std::string::npos) << Out;
