@@ -20,7 +20,9 @@
 #ifndef SHACKLE_BENCH_BENCHUTIL_H
 #define SHACKLE_BENCH_BENCHUTIL_H
 
+extern "C" {
 #include "shackle_kernels.gen.h"
+}
 
 #include <benchmark/benchmark.h>
 

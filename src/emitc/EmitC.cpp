@@ -1,4 +1,4 @@
-//===- EmitC.cpp - C++ source emission for generated code --------------------//
+//===- EmitC.cpp - C source emission for generated code ----------------------//
 //
 // Part of the Shackle project: a reproduction of "Data-centric Multi-level
 // Blocking" (Kodukula, Ahmed, Pingali; PLDI 1997).
@@ -79,14 +79,11 @@ std::string cRow(const ConstraintRow &Row,
   return cAffine(E, DimNames);
 }
 
-/// Emits statement bodies: array addressing and scalar expressions. \p Sqrt
-/// names the square root function (the native unit includes no header that
-/// declares std::sqrt).
+/// Emits statement bodies: array addressing and scalar expressions.
 class StmtEmitter {
 public:
-  StmtEmitter(const Program &P, const std::vector<std::string> &DimNames,
-              const char *Sqrt = "std::sqrt")
-      : P(P), DimNames(DimNames), Sqrt(Sqrt) {}
+  StmtEmitter(const Program &P, const std::vector<std::string> &DimNames)
+      : P(P), DimNames(DimNames) {}
 
   /// Sets the variable renaming for the current statement instance.
   void bind(const Stmt &S, const std::vector<unsigned> &VarMap) {
@@ -138,7 +135,7 @@ public:
     }
     case LayoutKind::TiledRowMajor: {
       // Physically tiled storage: indices are non-negative, so truncating
-      // C++ division and modulo match floor semantics.
+      // C division and modulo match floor semantics.
       assert(R.Indices.size() == 2 && "tiled storage is for matrices");
       std::string I = "(" + cAffine(R.Indices[0], VarNamesC) + ")";
       std::string J = "(" + cAffine(R.Indices[1], VarNamesC) + ")";
@@ -180,7 +177,7 @@ public:
     case ExprKind::Neg:
       return "(-" + scalarExpr(E->getLHS()) + ")";
     case ExprKind::Sqrt:
-      return std::string(Sqrt) + "(" + scalarExpr(E->getLHS()) + ")";
+      return "__builtin_sqrt(" + scalarExpr(E->getLHS()) + ")";
     }
     fatalError("unknown scalar expression kind");
   }
@@ -188,7 +185,6 @@ public:
 private:
   const Program &P;
   const std::vector<std::string> &DimNames;
-  const char *Sqrt;
   std::vector<std::string> VarNamesC;
 };
 
@@ -740,8 +736,7 @@ std::string shackle::emitKernel(const LoopNest &Nest,
                                 const std::string &Name) {
   const Program &P = *Nest.Prog;
   Writer W;
-  W.line("extern \"C\" void " + Name +
-         "(double **arrays, const int64_t *params) {");
+  W.line("void " + Name + "(double **arrays, const int64_t *params) {");
   W.indent();
   for (unsigned V = 0; V < P.getNumParams(); ++V)
     W.line("const int64_t " + P.getVarName(V) + " = params[" +
@@ -763,6 +758,37 @@ std::string shackle::emitKernel(const LoopNest &Nest,
 }
 
 namespace {
+
+/// Writes the head of every emitted unit: the <stdint.h> include (the only
+/// one: square roots call __builtin_sqrt) and the division and min/max
+/// helpers of bound expressions. A native unit also declares the hooks
+/// struct; its host-side mirror is NativeHooks in parallel/ParallelExecutor.h,
+/// and the field order is the ABI between the host and the module.
+void emitPreamble(Writer &W, bool NativeHooks) {
+  W.line("#include <stdint.h>");
+  W.blank();
+  W.line("static inline int64_t shk_floordiv(int64_t a, int64_t b) {");
+  W.line("  int64_t q = a / b;");
+  W.line("  return (a % b != 0 && a < 0) ? q - 1 : q;");
+  W.line("}");
+  W.line("static inline int64_t shk_ceildiv(int64_t a, int64_t b) {");
+  W.line("  int64_t q = a / b;");
+  W.line("  return (a % b != 0 && a > 0) ? q + 1 : q;");
+  W.line("}");
+  W.line("static inline int64_t shk_max(int64_t a, int64_t b) "
+         "{ return a > b ? a : b; }");
+  W.line("static inline int64_t shk_min(int64_t a, int64_t b) "
+         "{ return a < b ? a : b; }");
+  W.blank();
+  if (!NativeHooks)
+    return;
+  W.line("typedef struct shackle_native_hooks {");
+  W.line("  void (*gemm)(double *c, const double *a, const double *b,");
+  W.line("               int64_t m, int64_t n, int64_t k,");
+  W.line("               int64_t ldc, int64_t lda, int64_t ldb);");
+  W.line("} shackle_native_hooks;");
+  W.blank();
+}
 
 /// A maximal run of consecutive equal roots in a task's segment sequence.
 struct SegRun {
@@ -808,7 +834,7 @@ std::string emitTaskKernel(const LoopNest &Nest,
                            const LoopPlan &Loops, NativeEmitStats &Counts) {
   const Program &P = *Nest.Prog;
   Writer W;
-  W.line("extern \"C\" void " + Name +
+  W.line("void " + Name +
          "(double **arrays, const int64_t *dims, "
          "const shackle_native_hooks *hooks) {");
   W.indent();
@@ -822,7 +848,7 @@ std::string emitTaskKernel(const LoopNest &Nest,
            std::to_string(A) + "]; (void)a" + std::to_string(A) + ";");
   W.line("(void)arrays; (void)dims; (void)hooks;");
 
-  StmtEmitter SE(P, Nest.DimNames, "__builtin_sqrt");
+  StmtEmitter SE(P, Nest.DimNames);
   const std::string ND = std::to_string(Nest.NumDims);
   for (const SegRun &R : segmentRuns(Roots)) {
     W.line("for (int64_t _shk_s = " + std::to_string(R.Base) +
@@ -859,33 +885,8 @@ std::string shackle::emitNativeTranslationUnit(
     const NativeEmitOptions &Opts, NativeEmitStats *Stats) {
   Writer W;
   W.line("// Generated by the Shackle native execution tier. Do not edit.");
-  W.line("#include <stdint.h>");
-  W.blank();
-  W.line("namespace {");
-  W.line("inline int64_t shk_floordiv(int64_t a, int64_t b) {");
-  W.line("  int64_t q = a / b;");
-  W.line("  return (a % b != 0 && a < 0) ? q - 1 : q;");
-  W.line("}");
-  W.line("inline int64_t shk_ceildiv(int64_t a, int64_t b) {");
-  W.line("  int64_t q = a / b;");
-  W.line("  return (a % b != 0 && a > 0) ? q + 1 : q;");
-  W.line("}");
-  W.line("inline int64_t shk_max(int64_t a, int64_t b) "
-         "{ return a > b ? a : b; }");
-  W.line("inline int64_t shk_min(int64_t a, int64_t b) "
-         "{ return a < b ? a : b; }");
-  W.line("} // namespace");
-  W.blank();
-  // Host-side mirror: shackle::NativeHooks in native/NativeJit.h. The field
-  // order is the ABI contract between the host and the generated object.
-  W.line("extern \"C\" {");
-  W.line("struct shackle_native_hooks {");
-  W.line("  void (*gemm)(double *c, const double *a, const double *b,");
-  W.line("               int64_t m, int64_t n, int64_t k,");
-  W.line("               int64_t ldc, int64_t lda, int64_t ldb);");
-  W.line("};");
-  W.line("int64_t shackle_native_abi_version() { return 1; }");
-  W.line("} // extern \"C\"");
+  emitPreamble(W, /*NativeHooks=*/true);
+  W.line("int64_t shackle_native_abi_version(void) { return 1; }");
   W.blank();
   NativeEmitStats Counts;
   std::unordered_map<const LoopNest *, LoopPlan> Plans;
@@ -910,25 +911,7 @@ std::string shackle::emitTranslationUnit(
   W.line("// Generated by dsc-gen (Shackle: data-centric multi-level"
          " blocking).");
   W.line("// Do not edit: regenerate via the build system.");
-  W.line("#include <cmath>");
-  W.line("#include <cstdint>");
-  W.line("#include <cstring>");
-  W.blank();
-  W.line("namespace {");
-  W.line("inline int64_t shk_floordiv(int64_t a, int64_t b) {");
-  W.line("  int64_t q = a / b;");
-  W.line("  return (a % b != 0 && a < 0) ? q - 1 : q;");
-  W.line("}");
-  W.line("inline int64_t shk_ceildiv(int64_t a, int64_t b) {");
-  W.line("  int64_t q = a / b;");
-  W.line("  return (a % b != 0 && a > 0) ? q + 1 : q;");
-  W.line("}");
-  W.line("inline int64_t shk_max(int64_t a, int64_t b) "
-         "{ return a > b ? a : b; }");
-  W.line("inline int64_t shk_min(int64_t a, int64_t b) "
-         "{ return a < b ? a : b; }");
-  W.line("} // namespace");
-  W.blank();
+  emitPreamble(W, /*NativeHooks=*/false);
   for (const KernelSpec &K : Kernels) {
     W.raw(emitKernel(*K.Nest, K.Name));
     W.blank();
@@ -936,13 +919,12 @@ std::string shackle::emitTranslationUnit(
 
   // Registry.
   W.line("typedef void (*shackle_kernel_fn)(double **, const int64_t *);");
-  W.line("extern \"C\" shackle_kernel_fn shackle_gen_lookup(const char "
-         "*name) {");
+  W.line("shackle_kernel_fn shackle_gen_lookup(const char *name) {");
   W.indent();
   for (const KernelSpec &K : Kernels)
-    W.line("if (std::strcmp(name, \"" + K.Name + "\") == 0) return " +
+    W.line("if (__builtin_strcmp(name, \"" + K.Name + "\") == 0) return " +
            K.Name + ";");
-  W.line("return nullptr;");
+  W.line("return 0;");
   W.dedent();
   W.line("}");
   return W.str();
@@ -952,14 +934,12 @@ std::string shackle::emitHeader(const std::vector<KernelSpec> &Kernels) {
   Writer W;
   W.line("// Generated by dsc-gen (Shackle). Do not edit.");
   W.line("#pragma once");
-  W.line("#include <cstdint>");
+  W.line("#include <stdint.h>");
   W.blank();
   for (const KernelSpec &K : Kernels)
-    W.line("extern \"C\" void " + K.Name +
-           "(double **arrays, const int64_t *params);");
+    W.line("void " + K.Name + "(double **arrays, const int64_t *params);");
   W.blank();
   W.line("typedef void (*shackle_kernel_fn)(double **, const int64_t *);");
-  W.line("extern \"C\" shackle_kernel_fn shackle_gen_lookup(const char "
-         "*name);");
+  W.line("shackle_kernel_fn shackle_gen_lookup(const char *name);");
   return W.str();
 }

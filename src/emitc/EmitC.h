@@ -1,4 +1,4 @@
-//===- EmitC.h - C++ source emission for generated code ---------*- C++ -*-===//
+//===- EmitC.h - C source emission for generated code -----------*- C++ -*-===//
 //
 // Part of the Shackle project: a reproduction of "Data-centric Multi-level
 // Blocking" (Kodukula, Ahmed, Pingali; PLDI 1997).
@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits a LoopNest as portable C++ so the benchmarks measure *compiled*
+/// Emits a LoopNest as plain C11 so the benchmarks measure *compiled*
 /// blocked code, exactly as the paper measured xlf-compiled Fortran. Each
 /// kernel becomes
 ///
-///   extern "C" void <name>(double **arrays, const int64_t *params);
+///   void <name>(double **arrays, const int64_t *params);
 ///
 /// where arrays is indexed by the program's array ids and params by its
 /// parameter ids. Array addressing honors each array's layout (row-major,
@@ -19,6 +19,9 @@
 /// binaries. The native tier (DESIGN.md §15) instead emits one kernel per
 /// block task through emitNativeTranslationUnit, compiled at plan time;
 /// those kernels are all its unit holds (undo footprints are the plan's).
+/// Both units start with the same preamble: <stdint.h>, the static inline
+/// division and min/max helpers and, in a native unit, the hooks struct.
+/// Square roots are __builtin_sqrt, so no other header is needed.
 /// Every kernel emits an innermost loop pair interchanged when its store is
 /// unit-stride along the outer loop and the swap is proven to reverse no
 /// dependence (emitc/Interchange.h), and an innermost loop under
@@ -73,8 +76,8 @@ struct NativeEmitOptions {
 
 /// Emits the definition of one native task kernel:
 ///
-///   extern "C" void <name>(double **arrays, const int64_t *dims,
-///                          const shackle_native_hooks *hooks);
+///   void <name>(double **arrays, const int64_t *dims,
+///               const shackle_native_hooks *hooks);
 ///
 /// arrays is indexed by array id, dims is the task's flattened per-segment
 /// DimValues, hooks may be null (pure-loop execution). The host-side
@@ -95,11 +98,10 @@ struct NativeEmitStats {
   unsigned SimdLoops = 0;
 };
 
-/// Emits a complete native translation unit: the <stdint.h> include (the
-/// only one: square roots call __builtin_sqrt), division helpers, the
-/// shackle_native_hooks struct definition, and every task kernel. Each
-/// symbol is resolved individually via dlsym; there is no registry. When
-/// \p Stats is non-null it receives the unit's counts.
+/// Emits a complete native translation unit: the preamble with the
+/// shackle_native_hooks typedef, the ABI version function, and every task
+/// kernel. Each symbol is resolved individually via dlsym; there is no
+/// registry. When \p Stats is non-null it receives the unit's counts.
 std::string
 emitNativeTranslationUnit(const std::vector<NativeTaskKernelSpec> &Tasks,
                           const NativeEmitOptions &Opts,
@@ -108,13 +110,13 @@ emitNativeTranslationUnit(const std::vector<NativeTaskKernelSpec> &Tasks,
 /// Emits the definition of a single kernel function (no preamble).
 std::string emitKernel(const LoopNest &Nest, const std::string &Name);
 
-/// Emits a complete translation unit: includes, division helpers, all kernel
-/// definitions, and a name -> function registry
-/// (shackle_gen_lookup(const char*)).
+/// Emits a complete translation unit: the preamble, all kernel definitions,
+/// and a name -> function registry (shackle_gen_lookup(const char*)).
 std::string emitTranslationUnit(const std::vector<KernelSpec> &Kernels);
 
-/// Emits the matching header: kernel declarations, the KernelFn typedef, and
-/// the registry lookup declaration.
+/// Emits the matching C header: kernel declarations, the shackle_kernel_fn
+/// typedef, and the registry lookup declaration. C++ includes it inside
+/// `extern "C" { }`.
 std::string emitHeader(const std::vector<KernelSpec> &Kernels);
 
 } // namespace shackle

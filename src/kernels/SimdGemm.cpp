@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SHACKLE_X86 1
@@ -38,20 +39,6 @@ bool parseSimdMode(const std::string &Text, SimdMode &Out) {
     return true;
   }
   return false;
-}
-
-const char *simdModeName(SimdMode Mode) {
-  switch (Mode) {
-  case SimdMode::Off:
-    return "off";
-  case SimdMode::Avx2:
-    return "avx2";
-  case SimdMode::Avx512:
-    return "avx512";
-  case SimdMode::Auto:
-    return "auto";
-  }
-  return "off";
 }
 
 const char *simdLevelName(SimdLevel Level) {
@@ -154,9 +141,22 @@ gemmTileAvx2_6x8(double *__restrict C, const double *__restrict A,
 // The shared driver: full tiles strip by strip, B packed when reused.
 //===----------------------------------------------------------------------===//
 
-/// Rows of B one packed strip holds: 256 x 16 doubles is 32 KB for the 4x16
-/// tile, 16 KB for the 6x8 one.
-constexpr int64_t PackKC = 256;
+/// Rows of B one packed strip holds, and the widest strip: 256 x 16 doubles
+/// is 32 KB, which both tiles share (the 6x8 one uses half).
+constexpr int64_t PackKC = 256, PackNR = 16;
+
+/// The calling thread's packed-strip buffer, allocated on its first call;
+/// null when the allocation fails.
+static double *packBuffer() {
+  struct Free {
+    void operator()(double *P) const { std::free(P); }
+  };
+  static thread_local std::unique_ptr<double, Free> Buf;
+  if (!Buf)
+    Buf.reset(static_cast<double *>(
+        std::aligned_alloc(64, PackKC * PackNR * sizeof(double))));
+  return Buf.get();
+}
 
 using TileFn = void (*)(double *, const double *, const double *, int64_t K,
                         int64_t Ldc, int64_t Lda, int64_t Ldb);
@@ -167,17 +167,18 @@ using TileFn = void (*)(double *, const double *, const double *, int64_t K,
 /// copy, so the strip's rows no longer sit Ldb apart in the same L1 sets.
 /// The tile function, its ascending k and its operands are unchanged;
 /// splitting K only stores C and reloads it, which is exact, so packing is
-/// bitwise-neutral. The column tail goes to \p Tail one MR-row slice at a
-/// time and the row tail in one call, so no remainder call ever packs.
+/// bitwise-neutral, and so is reading B in place when the buffer cannot be
+/// allocated. The column tail goes to \p Tail one MR-row slice at a time
+/// and the row tail in one call, so no remainder call ever packs.
 template <int64_t MR, int64_t NR, TileFn Tile, GemmKernelFn Tail>
 static void gemmPanel(double *C, const double *A, const double *B, int64_t M,
                       int64_t N, int64_t K, int64_t Ldc, int64_t Lda,
                       int64_t Ldb) {
-  alignas(64) static thread_local double Packed[PackKC * NR];
+  static_assert(NR <= PackNR, "strip wider than the packed buffer");
   const int64_t MFull = M - M % MR, NFull = N - N % NR;
-  const bool Pack = MFull / MR >= 2;
+  double *Packed = MFull / MR >= 2 ? packBuffer() : nullptr;
   for (int64_t J = 0; J < NFull; J += NR) {
-    if (!Pack) {
+    if (!Packed) {
       for (int64_t I = 0; I < MFull; I += MR)
         Tile(C + I * Ldc + J, A + I * Lda, B + J, K, Ldc, Lda, Ldb);
       continue;

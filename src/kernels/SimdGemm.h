@@ -29,8 +29,10 @@
 ///
 /// The full tiles run column strip by column strip. When a strip is read by
 /// more than one row tile (M / MR >= 2), up to 256 of its rows at a time are
-/// copied into a thread-local, 64-byte-aligned buffer with leading dimension
-/// NR, and the tile function reads that copy. Without it, a 64x64 block of a
+/// copied into a 64-byte-aligned buffer with leading dimension NR, and the
+/// tile function reads that copy. Each thread allocates that buffer (32 KB,
+/// sized for the wider tile) on its first packed call, so a thread that
+/// never packs pays nothing for it. Without it, a 64x64 block of a
 /// 1024-wide array reads its strip from rows 8 KB apart that share L1 sets,
 /// and the AVX-512 kernel's time depended on where the arrays started: 74 ms
 /// vs 46 ms for the mmm-1024 call sequence, 16 B past a page boundary vs
@@ -56,7 +58,8 @@
 
 namespace shackle {
 
-/// What the user asked for (CLI `--native-simd=...`, NativeJitOptions).
+/// A requested vector level. The native tier always requests Auto, so
+/// SHACKLE_NATIVE_SIMD is the one way to lower it.
 enum class SimdMode { Off, Avx2, Avx512, Auto };
 
 /// What the machine can actually run; the result of resolving a SimdMode
@@ -66,13 +69,11 @@ enum class SimdLevel { Scalar, Avx2, Avx512 };
 /// Parse "off"/"avx2"/"avx512"/"auto". Returns false on anything else.
 bool parseSimdMode(const std::string &Text, SimdMode &Out);
 
-const char *simdModeName(SimdMode Mode);
 const char *simdLevelName(SimdLevel Level);
 
 /// Resolve a requested mode to a runnable level:
 ///   - the SHACKLE_NATIVE_SIMD environment variable, when set to a valid
-///     mode name, overrides the request (CI uses this to force a leg with
-///     SIMD off without threading a flag through every harness);
+///     mode name, overrides the request (CI's scalar and AVX2 legs set it);
 ///   - Off -> Scalar always;
 ///   - Avx2/Avx512 -> that level when the CPU supports it, otherwise the
 ///     best supported level below it (graceful fallback, never an error);

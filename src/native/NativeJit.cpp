@@ -30,14 +30,6 @@ double msSince(std::chrono::steady_clock::time_point T0) {
       .count();
 }
 
-std::string tempDirTemplate() {
-  const char *Base = std::getenv("TMPDIR");
-  std::string Dir = (Base && *Base) ? Base : "/tmp";
-  if (Dir.back() == '/')
-    Dir.pop_back();
-  return Dir + "/shackle-native-XXXXXX";
-}
-
 /// First ~12 lines of the compiler log, for the fallback diagnostic.
 std::string readLogHead(const std::string &Path) {
   std::ifstream In(Path);
@@ -61,42 +53,55 @@ Diagnostic fallbackDiag(std::string Why) {
   return D;
 }
 
-uint64_t fnv1a(uint64_t H, const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
+uint64_t fnv1a(const std::string &S) {
+  uint64_t H = 1469598103934665603ull;
+  for (unsigned char C : S) {
+    H ^= C;
     H *= 1099511628211ull;
   }
   return H;
 }
 
-uint64_t fnv1a(uint64_t H, const std::string &S) {
-  return fnv1a(H, S.data(), S.size());
-}
-
 /// The one command that compiles a module (and the availability probe):
-/// \p Src into the shared object \p So, compiler output to \p Log.
-/// -ffp-contract=off pins the emitted arithmetic to the interpreter's
-/// multiply-then-add order (no FMA contraction), the precondition for the
-/// bitwise half of the differential oracle. -fopenmp-simd honours the
-/// emitter's `omp simd` marks (emitc/SimdMark.h) without linking an OpenMP
-/// runtime; with no reduction clause a lane does the scalar operations. The
-/// arch flags match the resolved vector level: they widen codegen without
-/// touching the bitwise contract, since FMA only enters through the
-/// hooks->gemm routing, which is behind the ULP policy.
+/// \p Dir/kernels.c into \p Dir/kernels.so, compiler output to \p Dir/cc.log.
+/// It is the one list of what a module depends on besides its plan: the
+/// config hash and the probe's verdicts are keyed by its text. The unit is
+/// plain C (emitc/EmitC.h), for a C or a C++ driver alike. -ffp-contract=off
+/// pins the emitted arithmetic to the interpreter's multiply-then-add order
+/// (no FMA contraction), the precondition for the bitwise half of the
+/// differential oracle. -fopenmp-simd honours the emitter's `omp simd`
+/// marks (emitc/SimdMark.h) without linking an OpenMP runtime; with no
+/// reduction clause a lane does the scalar operations. The arch flags
+/// match the resolved vector level: they widen codegen without touching
+/// the bitwise contract, since FMA only enters through the hooks->gemm
+/// routing, which is behind the ULP policy.
 std::string compileCommand(const NativeJitOptions &Opts, SimdLevel Simd,
-                           const std::string &Src, const std::string &So,
-                           const std::string &Log) {
-  std::string Cmd = "'";
-  Cmd += nativeCompilerPath(Opts);
-  Cmd += "' -std=c++17 -O2 -fPIC -shared -ffp-contract=off -fopenmp-simd";
+                           const std::string &Dir) {
+  std::string Cmd = "'" + nativeCompilerPath(Opts) +
+                    "' -x c -std=c11 -O2 -fPIC -shared -ffp-contract=off "
+                    "-fopenmp-simd";
   if (Simd == SimdLevel::Avx2)
     Cmd += " -mavx2 -mfma";
   else if (Simd == SimdLevel::Avx512)
     Cmd += " -mavx512f -mavx512vl -mavx2 -mfma";
-  if (!Opts.ExtraFlags.empty())
-    Cmd += " " + Opts.ExtraFlags;
-  return Cmd + " -o '" + So + "' '" + Src + "' > '" + Log + "' 2>&1";
+  return Cmd + " -o '" + Dir + "/kernels.so' '" + Dir + "/kernels.c' > '" +
+         Dir + "/cc.log' 2>&1";
+}
+
+/// Makes a fresh directory under $TMPDIR (default /tmp) for one compile;
+/// empty on failure.
+std::string makeModuleDir() {
+  const char *Base = std::getenv("TMPDIR");
+  std::string Dir =
+      std::string(Base && *Base ? Base : "/tmp") + "/shackle-native-XXXXXX";
+  return mkdtemp(Dir.data()) ? Dir : std::string();
+}
+
+/// Removes what compileCommand reads and writes in \p Dir, then \p Dir.
+void removeModuleDir(const std::string &Dir) {
+  for (const char *F : {"/kernels.c", "/kernels.so", "/cc.log"})
+    std::remove((Dir + F).c_str());
+  rmdir(Dir.c_str());
 }
 
 } // namespace
@@ -114,36 +119,16 @@ std::string shackle::nativeCompilerPath(const NativeJitOptions &Opts) {
 }
 
 uint64_t shackle::nativeConfigHash(const NativeJitOptions &Opts) {
-  uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, nativeCompilerPath(Opts));
-  H = fnv1a(H, Opts.ExtraFlags);
-  unsigned char MB = Opts.UseMicroBlas ? 1 : 0;
-  H = fnv1a(H, &MB, 1);
-  // The *resolved* vector level, not the requested mode: two requests that
-  // resolve to the same kernels (e.g. auto and avx2 on an AVX2-only part)
-  // may share a module; an env-forced SHACKLE_NATIVE_SIMD change may not.
-  unsigned char SL = static_cast<unsigned char>(resolveSimdLevel(Opts.Simd));
-  H = fnv1a(H, &SL, 1);
-  return H;
+  return fnv1a(compileCommand(Opts, resolveSimdLevel(SimdMode::Auto), "<dir>") +
+               (Opts.UseMicroBlas ? " +gemm" : ""));
 }
 
-void NativeModule::cleanupFiles() {
-  if (Handle) {
+NativeModule::~NativeModule() {
+  if (Handle)
     dlclose(Handle);
-    Handle = nullptr;
-  }
-  if (Keep || Dir.empty())
-    return;
-  if (!SrcPath.empty())
-    std::remove(SrcPath.c_str());
-  if (!SoPath.empty())
-    std::remove(SoPath.c_str());
-  if (!LogPath.empty())
-    std::remove(LogPath.c_str());
-  rmdir(Dir.c_str());
+  if (!Dir.empty())
+    removeModuleDir(Dir);
 }
-
-NativeModule::~NativeModule() { cleanupFiles(); }
 
 NativeKernelFn NativeModule::taskFnFor(uint32_t TaskId) const {
   return TaskId < TaskFns.size() ? TaskFns[TaskId] : nullptr;
@@ -183,13 +168,12 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   }
 
   std::shared_ptr<NativeModule> M(new NativeModule());
-  M->Keep = Opts.KeepArtifacts;
 
   // Resolve the vector level once: it picks both the host-side hooks->gemm
   // kernel and the -m arch flags the module is compiled with. The emitted
   // plain loops stay -ffp-contract=off, so wider codegen never changes the
   // bitwise contract of the loop branch.
-  const SimdLevel Simd = resolveSimdLevel(Opts.Simd);
+  const SimdLevel Simd = resolveSimdLevel(SimdMode::Auto);
   M->Stats.SimdUsed = Opts.UseMicroBlas ? Simd : SimdLevel::Scalar;
 
   // 1. Emit the translation unit.
@@ -205,42 +189,36 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   M->Stats.TaskKernels = static_cast<unsigned>(Specs.size());
 
   // 2. Write it to a fresh temp dir.
-  std::string Templ = tempDirTemplate();
-  std::vector<char> Buf(Templ.begin(), Templ.end());
-  Buf.push_back('\0');
-  if (!mkdtemp(Buf.data())) {
-    Diags.push_back(fallbackDiag("mkdtemp failed for " + Templ));
+  M->Dir = makeModuleDir();
+  if (M->Dir.empty()) {
+    Diags.push_back(fallbackDiag("could not make a temp directory"));
     return nullptr;
   }
-  M->Dir = Buf.data();
-  M->SrcPath = M->Dir + "/kernels.cpp";
-  M->SoPath = M->Dir + "/kernels.so";
-  M->LogPath = M->Dir + "/cc.log";
   {
-    std::ofstream Out(M->SrcPath);
+    std::ofstream Out(M->Dir + "/kernels.c");
     Out << Text;
     if (!Out) {
-      Diags.push_back(fallbackDiag("could not write " + M->SrcPath));
+      Diags.push_back(fallbackDiag("could not write " + M->Dir +
+                                   "/kernels.c"));
       return nullptr;
     }
   }
 
   // 3. Invoke the compiler.
   T0 = std::chrono::steady_clock::now();
-  const std::string Cmd =
-      compileCommand(Opts, Simd, M->SrcPath, M->SoPath, M->LogPath);
   bool CompiledOk;
   if (injectNativeCompileFail()) {
     // The chaos hook models the compiler crashing or miscompiling: same
     // failure path as a real non-zero exit, no subprocess spent.
     CompiledOk = false;
-    std::ofstream(M->LogPath) << "injected cc failure (fault injector)\n";
+    std::ofstream(M->Dir + "/cc.log")
+        << "injected cc failure (fault injector)\n";
   } else {
-    CompiledOk = std::system(Cmd.c_str()) == 0;
+    CompiledOk = std::system(compileCommand(Opts, Simd, M->Dir).c_str()) == 0;
   }
   M->Stats.CompileMs = msSince(T0);
   if (!CompiledOk) {
-    std::string Log = readLogHead(M->LogPath);
+    std::string Log = readLogHead(M->Dir + "/cc.log");
     Diagnostic D =
         fallbackDiag("compiler '" + nativeCompilerPath(Opts) + "' failed");
     if (!Log.empty())
@@ -252,7 +230,7 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
   // 4. Load and resolve. RTLD_LOCAL keeps the module's symbols out of the
   // global namespace — two cached modules can both define shk_native_t0.
   T0 = std::chrono::steady_clock::now();
-  M->Handle = dlopen(M->SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+  M->Handle = dlopen((M->Dir + "/kernels.so").c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!M->Handle) {
     const char *E = dlerror();
     Diags.push_back(
@@ -297,27 +275,21 @@ NativeModule::compile(const LoopNest &Nest, const BlockPartition &Part,
 }
 
 bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
-  // One probe per resolved compiler, flags and vector level per process; the
-  // probe compiles and loads a trivial TU with the command compile() uses.
+  // One probe per distinct compile command per process; the probe compiles
+  // and loads a one-function unit exactly as compile() builds a module.
   static std::mutex ProbeM;
   static std::unordered_map<std::string, bool> Verdicts;
-  const SimdLevel Simd = resolveSimdLevel(Opts.Simd);
-  const std::string Key = nativeCompilerPath(Opts) + "\x1f" +
-                          Opts.ExtraFlags + "\x1f" + simdLevelName(Simd);
+  const SimdLevel Simd = resolveSimdLevel(SimdMode::Auto);
+  const std::string Key = compileCommand(Opts, Simd, "<dir>");
   std::lock_guard<std::mutex> L(ProbeM);
   if (auto It = Verdicts.find(Key); It != Verdicts.end())
     return It->second;
 
   bool OK = false;
-  std::string Templ = tempDirTemplate();
-  std::vector<char> Buf(Templ.begin(), Templ.end());
-  Buf.push_back('\0');
-  if (mkdtemp(Buf.data())) {
-    std::string Dir = Buf.data();
-    std::string Src = Dir + "/probe.cpp", So = Dir + "/probe.so",
-                Log = Dir + "/cc.log";
-    { std::ofstream(Src) << "extern \"C\" long shk_probe() {return 42;}\n"; }
-    if (std::system(compileCommand(Opts, Simd, Src, So, Log).c_str()) == 0) {
+  if (const std::string Dir = makeModuleDir(); !Dir.empty()) {
+    std::ofstream(Dir + "/kernels.c") << "long shk_probe(void) {return 42;}\n";
+    if (std::system(compileCommand(Opts, Simd, Dir).c_str()) == 0) {
+      const std::string So = Dir + "/kernels.so";
       if (void *H = dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL)) {
         using ProbeFn = long (*)();
         auto F = reinterpret_cast<ProbeFn>(dlsym(H, "shk_probe"));
@@ -325,10 +297,7 @@ bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
         dlclose(H);
       }
     }
-    std::remove(Src.c_str());
-    std::remove(So.c_str());
-    std::remove(Log.c_str());
-    rmdir(Dir.c_str());
+    removeModuleDir(Dir);
   }
   Verdicts.emplace(Key, OK);
   return OK;
@@ -337,6 +306,35 @@ bool shackle::nativeTierAvailable(const NativeJitOptions &Opts) {
 NativeModuleCache &NativeModuleCache::instance() {
   static NativeModuleCache C;
   return C;
+}
+
+std::shared_ptr<NativeModule> NativeModuleCache::getOrCompile(
+    uint64_t Key, const std::function<std::shared_ptr<NativeModule>()> &Compile,
+    bool &Hit) {
+  std::unique_lock<std::mutex> L(M);
+  Compiled.wait(L, [&] { return Compiling.count(Key) == 0; });
+  if (auto It = Map.find(Key); It != Map.end()) {
+    Hit = true;
+    return It->second;
+  }
+  Hit = false;
+  Compiling.insert(Key);
+  L.unlock();
+  std::shared_ptr<NativeModule> Mod;
+  try {
+    Mod = Compile();
+  } catch (...) {
+    L.lock();
+    Compiling.erase(Key);
+    Compiled.notify_all();
+    throw;
+  }
+  L.lock();
+  Compiling.erase(Key);
+  if (Mod)
+    Map[Key] = Mod;
+  Compiled.notify_all();
+  return Mod;
 }
 
 std::shared_ptr<NativeModule> NativeModuleCache::lookup(uint64_t Key) const {

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// The native execution tier (DESIGN.md §15). At plan time every block
-/// task of a ParallelPlan becomes one C++ function (emitc), deduplicated by
-/// the task's segment-root sequence, compiled into a shared object with the
-/// system compiler, and dlopen'd; the scheduler then makes one call per
-/// task, looked up by task id, instead of walking the LoopAST, with
+/// task of a ParallelPlan becomes one C function (emitc), deduplicated by
+/// the task's segment-root sequence, compiled as C11 into a shared object
+/// with the system compiler, and dlopen'd; the scheduler then makes one
+/// call per task, looked up by task id, instead of walking the LoopAST, with
 /// innermost dense triple loops routed through the MicroBlas register
 /// kernels behind runtime shape guards. A module holds kernels only: undo
 /// capture reads the plan's footprints (parallel/BlockPartition.h).
@@ -25,7 +25,8 @@
 /// Modules are expensive (one compiler invocation each), so the process
 /// keeps a NativeModuleCache keyed by the service PlanKey digest mixed with
 /// the native configuration hash: re-planning the same program (the plan
-/// cache's warm-hit path) reuses the dlopen'd module for free.
+/// cache's warm-hit path) reuses the dlopen'd module for free, and callers
+/// that miss on one key together share one compile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,48 +39,39 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace shackle {
 
-/// Knobs for the compile driver.
+/// Knobs for the compile driver. The vector level is not one of them: it
+/// is the widest the CPU runs unless SHACKLE_NATIVE_SIMD lowers it
+/// (resolveSimdLevel(SimdMode::Auto), kernels/SimdGemm.h), and it picks
+/// both the hooks->gemm kernel and the module's -m arch flags.
 struct NativeJitOptions {
-  /// Compiler executable. Empty resolves, in order: $SHACKLE_NATIVE_CXX,
-  /// the compiler that built this binary (baked in at configure time),
-  /// then "c++".
+  /// Compiler driver. Empty resolves, in order: $SHACKLE_NATIVE_CXX, the
+  /// C++ compiler that built this binary (baked in at configure time),
+  /// then "c++"; any of them compiles the unit as C (`-x c`).
   std::string Compiler;
-  /// Extra flags appended verbatim to the compile command (benchmarks use
-  /// this for -march flags; never required for correctness).
-  std::string ExtraFlags;
   /// Emit hooks->gemm routing for matched dense triple loops (MicroBlas on
   /// the host side). Off = pure loops, bitwise-identical to the
   /// interpreter; on, matched blocks may reassociate the k-reduction (see
   /// docs/CLI.md ULP policy).
   bool UseMicroBlas = true;
-  /// Vector width of the hooks->gemm kernel (CLI `--native-simd`). Only
-  /// meaningful with UseMicroBlas; resolved against the CPUID probes at
-  /// compile() time (kernels/SimdGemm.h), with the scalar kernel as the
-  /// guaranteed fallback. SIMD kernels use FMA, so they live behind the
-  /// same opt-in ULP policy as the scalar routing. The matching -m arch
-  /// flags are also appended to the module compile command so the emitted
-  /// plain loops may auto-vectorize... they stay -ffp-contract=off, so the
-  /// loop branch remains bitwise-identical either way.
-  SimdMode Simd = SimdMode::Auto;
   /// Ignored: every module is task-grain. bench/e2e adapter only; a later
   /// benchmark PR deletes it.
   bool TaskGrain = false;
-  /// Keep the temp directory (source, .so, cc.log) after the module dies —
-  /// for debugging miscompiles.
-  bool KeepArtifacts = false;
 };
 
 /// Where the plan-time milliseconds went.
 struct NativeJitStats {
-  double EmitMs = 0.0;    ///< C++ text generation.
+  double EmitMs = 0.0;    ///< C text generation.
   double CompileMs = 0.0; ///< Compiler subprocess wall time.
   double LoadMs = 0.0;    ///< dlopen + dlsym resolution.
   /// Task kernels compiled (deduplicated by segment-root sequence).
@@ -135,36 +127,34 @@ public:
 
   const NativeJitStats &stats() const { return Stats; }
   bool usesMicroBlas() const { return Hooks.Gemm != nullptr; }
-  /// Artifact paths (valid until destruction; the files are gone after
-  /// unless KeepArtifacts).
-  const std::string &sourcePath() const { return SrcPath; }
-  const std::string &objectPath() const { return SoPath; }
 
 private:
   NativeModule() = default;
-  void cleanupFiles();
 
   void *Handle = nullptr;
   NativeHooks Hooks;
   /// Tables indexed by task id (null for tasks without segments).
   std::vector<NativeKernelFn> TaskFns;
   NativeJitStats Stats;
-  std::string Dir, SrcPath, SoPath, LogPath;
-  bool Keep = false;
+  /// The temp directory holding kernels.c, kernels.so and cc.log.
+  std::string Dir;
 };
 
 /// The compiler the tier will invoke for \p Opts (resolution order above).
 std::string nativeCompilerPath(const NativeJitOptions &Opts = {});
 
-/// Cheap availability probe: compiles + dlopens a trivial kernel with the
-/// module compile command once per process per resolved compiler, flags and
-/// vector level, caching the verdict. Tests and the CLI use it to report
-/// (or skip on) an unusable toolchain up front.
+/// Cheap availability probe: compiles + dlopens a trivial unit with the
+/// module compile command, once per process per distinct command (the
+/// compiler, its flags and the vector level's arch flags), caching the
+/// verdict. Tests and the CLI use it to report (or skip on) an unusable
+/// toolchain up front.
 bool nativeTierAvailable(const NativeJitOptions &Opts = {});
 
-/// Stable hash of the native configuration (resolved compiler, flags,
-/// MicroBlas routing, resolved SIMD level); mixed into the PlanKey digest to key the module
-/// cache, so changing any of them is a cache miss, never a stale module.
+/// Stable hash of what a module depends on besides its plan: the module
+/// compile command (with a placeholder directory) and MicroBlas routing.
+/// Mixed into the PlanKey digest to key the module cache, so changing the
+/// compiler, a flag or the vector level is a cache miss, never a stale
+/// module.
 uint64_t nativeConfigHash(const NativeJitOptions &Opts);
 
 /// Process-wide cache of loaded modules, keyed by
@@ -173,6 +163,16 @@ uint64_t nativeConfigHash(const NativeJitOptions &Opts);
 class NativeModuleCache {
 public:
   static NativeModuleCache &instance();
+  /// The module for \p Key, compiled by \p Compile on a miss. Callers that
+  /// miss on one key while its compile runs wait for it and take its
+  /// module; \p Hit is set when this caller did not compile. A null result
+  /// (the compile fell back) is not cached, so a waiter then compiles.
+  std::shared_ptr<NativeModule>
+  getOrCompile(uint64_t Key,
+               const std::function<std::shared_ptr<NativeModule>()> &Compile,
+               bool &Hit);
+  /// Plain lookup and insert, which do not wait for a running compile.
+  /// bench/e2e adapter only.
   std::shared_ptr<NativeModule> lookup(uint64_t Key) const;
   void insert(uint64_t Key, std::shared_ptr<NativeModule> M);
   std::size_t size() const;
@@ -180,7 +180,9 @@ public:
 
 private:
   mutable std::mutex M;
+  std::condition_variable Compiled;
   std::unordered_map<uint64_t, std::shared_ptr<NativeModule>> Map;
+  std::unordered_set<uint64_t> Compiling; ///< Keys with a compile running.
 };
 
 } // namespace shackle

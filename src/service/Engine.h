@@ -97,10 +97,15 @@ struct RunRequest {
   bool Verify = false;
 };
 
+/// The verify bound with micro-GEMM routing active: routed blocks may fuse
+/// and reassociate (docs/CLI.md "--native"), so they are held to this max
+/// absolute difference against serial execution instead of bitwise.
+constexpr double GemmVerifyBound = 1e-12;
+
 enum class VerifyOutcome {
   NotRun,
   Bitwise,     ///< Bitwise-identical to serial execution.
-  WithinBound, ///< Max |diff| <= 1e-12 with micro-GEMM routing active.
+  WithinBound, ///< Max |diff| <= GemmVerifyBound with routing active.
   Differs,
 };
 
@@ -117,6 +122,7 @@ struct RunResult {
   uint64_t QueriesRun = 0, QueriesSkipped = 0;
 
   std::shared_ptr<NativeModule> Native; ///< Null: interpreter tier.
+  /// The module came from the cache or from a concurrent caller's compile.
   bool NativeCacheHit = false;
   std::vector<Diagnostic> NativeDiags;
 

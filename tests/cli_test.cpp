@@ -176,7 +176,7 @@ TEST(Cli, RejectsUnknownFlags) {
   for (const char *Flag :
        {"--threds=2", "--placement=round-robin", "--domain-size=2",
         "--steal-remote-after=0", "--random-steal", "--steal-seed=7",
-        "--first-touch", "--paranoia"}) {
+        "--first-touch", "--paranoia", "--native-simd=off"}) {
     auto [Rc, Out] =
         runCli(std::string("run matmul c --block=16 --params=48 ") + Flag);
     std::string Name(Flag, std::strcspn(Flag, "="));

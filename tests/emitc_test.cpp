@@ -1,11 +1,11 @@
-//===- emitc_test.cpp - C++ emission ------------------------------------------//
+//===- emitc_test.cpp - C emission --------------------------------------------//
 //
 // Part of the Shackle project: a reproduction of "Data-centric Multi-level
 // Blocking" (Kodukula, Ahmed, Pingali; PLDI 1997).
 //
 //===----------------------------------------------------------------------===//
 //
-// Structural checks on the emitted C++ (the numeric behaviour of compiled
+// Structural checks on the emitted C (the numeric behaviour of compiled
 // kernels is covered by genkernels_test.cpp, which compares them against
 // the interpreter).
 //
@@ -25,14 +25,20 @@ using namespace shackle;
 
 namespace {
 
+/// Emitted text is plain C: no C++ linkage, scope, library or keyword.
+void expectPlainC(const std::string &S) {
+  for (const char *Cxx : {"extern \"C\"", "namespace", "std::", "nullptr"})
+    EXPECT_EQ(S.find(Cxx), std::string::npos) << Cxx << " in\n" << S;
+}
+
 TEST(EmitC, KernelSignatureAndParams) {
   BenchSpec Spec = makeMatMul();
   LoopNest Orig = generateOriginalCode(*Spec.Prog);
   std::string S = emitKernel(Orig, "my_kernel");
-  EXPECT_NE(S.find("extern \"C\" void my_kernel(double **arrays, "
-                   "const int64_t *params)"),
-            std::string::npos)
+  EXPECT_EQ(S.find("void my_kernel(double **arrays, const int64_t *params)"),
+            0u)
       << S;
+  expectPlainC(S);
   EXPECT_NE(S.find("const int64_t N = params[0];"), std::string::npos);
   EXPECT_NE(S.find("__restrict"), std::string::npos);
 }
@@ -66,7 +72,8 @@ TEST(EmitC, SqrtAndDivisionOperators) {
   BenchSpec Spec = makeCholeskyRight();
   LoopNest Orig = generateOriginalCode(*Spec.Prog);
   std::string S = emitKernel(Orig, "k");
-  EXPECT_NE(S.find("std::sqrt("), std::string::npos);
+  EXPECT_NE(S.find("__builtin_sqrt("), std::string::npos) << S;
+  expectPlainC(S);
   EXPECT_NE(S.find(" / "), std::string::npos);
 }
 
@@ -75,7 +82,9 @@ TEST(EmitC, TranslationUnitHasRegistryAndHelpers) {
   LoopNest Orig = generateOriginalCode(*Spec.Prog);
   std::vector<KernelSpec> Kernels = {{"k1", &Orig}, {"k2", &Orig}};
   std::string TU = emitTranslationUnit(Kernels);
-  EXPECT_NE(TU.find("shk_ceildiv"), std::string::npos);
+  EXPECT_NE(TU.find("static inline int64_t shk_ceildiv"), std::string::npos);
+  EXPECT_NE(TU.find("#include <stdint.h>"), std::string::npos) << TU;
+  expectPlainC(TU);
   EXPECT_NE(TU.find("shackle_gen_lookup"), std::string::npos);
   EXPECT_NE(TU.find("\"k1\""), std::string::npos);
   EXPECT_NE(TU.find("\"k2\""), std::string::npos);
@@ -83,6 +92,7 @@ TEST(EmitC, TranslationUnitHasRegistryAndHelpers) {
   std::string H = emitHeader(Kernels);
   EXPECT_NE(H.find("void k1(double **arrays"), std::string::npos);
   EXPECT_NE(H.find("shackle_kernel_fn"), std::string::npos);
+  expectPlainC(H);
 }
 
 TEST(EmitC, EmissionIsDeterministic) {
@@ -116,10 +126,14 @@ TEST(EmitC, NativeTranslationUnitCarriesKernelsOnly) {
       generateShackledCode(*Spec.Prog, mmmShackleC(*Spec.Prog, 16));
   std::string S = emitNativeTranslationUnit(
       {{"k", &Nest, {Nest.Roots[0].get()}}}, NativeEmitOptions());
-  EXPECT_NE(S.find("extern \"C\" void k(double **arrays, const int64_t "
-                   "*dims, const shackle_native_hooks *hooks)"),
+  EXPECT_NE(S.find("\nvoid k(double **arrays, const int64_t *dims, "
+                   "const shackle_native_hooks *hooks)"),
             std::string::npos)
       << S;
+  expectPlainC(S);
+  // The same preamble as the dsc-gen unit, plus the hooks typedef.
+  EXPECT_NE(S.find("static inline int64_t shk_floordiv"), std::string::npos);
+  EXPECT_NE(S.find("} shackle_native_hooks;"), std::string::npos) << S;
   // Undo footprints come from the plan: the unit reports no stores.
   EXPECT_EQ(S.find("sink"), std::string::npos) << S;
   EXPECT_EQ(S.find("_writes"), std::string::npos) << S;

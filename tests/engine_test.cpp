@@ -9,7 +9,8 @@
 // and ServiceCore. These tests hold the two front ends to it: the same
 // request gives the same result checksum through either, registry and DSL
 // sources of one program share a plan key, concurrent callers share one
-// plan build, and the factorizations run on well-posed (SPD) inputs.
+// plan build and one native compile, and the factorizations run on
+// well-posed (SPD) inputs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -217,6 +218,48 @@ TEST(EngineConcurrency, ThreadsShareOneBuildAndOneChecksum) {
     Builds += Res.Built;
   }
   EXPECT_EQ(Builds, 1u);
+}
+
+TEST(EngineConcurrency, ThreadsShareOneNativeCompile) {
+  // The callers that share one plan build then miss the module cache
+  // together: one of them compiles, the others wait for its module.
+  if (!nativeTierAvailable())
+    GTEST_SKIP() << "no usable native compiler on this machine";
+  ProgramSource Src;
+  Src.Benchmark = "cholesky-right";
+  Src.Config = "stores";
+  Src.Blocks = {8};
+  Expected<Resolved> R = resolveProgram(Src);
+  ASSERT_TRUE(R) << R.diagnostic().str();
+  RunRequest Req;
+  Req.Target = std::move(R.get());
+  Req.Params = {32};
+  Req.Run.NumThreads = 2;
+  Req.Native = NativeJitOptions();
+
+  NativeModuleCache::instance().clear();
+  PlanCache Plans;
+  VerdictCache Verdicts;
+  const Engine E(MachineShape{}, &Plans, &Verdicts);
+  constexpr unsigned N = 4;
+  std::vector<RunResult> Results(N);
+  std::vector<std::thread> Callers;
+  for (unsigned I = 0; I < N; ++I)
+    Callers.emplace_back([&, I] { Results[I] = E.run(Req); });
+  for (std::thread &T : Callers)
+    T.join();
+
+  unsigned Compiles = 0;
+  for (const RunResult &Res : Results) {
+    ASSERT_FALSE(Res.Error) << Res.Error->str();
+    ASSERT_NE(Res.Native, nullptr)
+        << (Res.NativeDiags.empty() ? "" : Res.NativeDiags[0].str());
+    EXPECT_EQ(Res.Native.get(), Results[0].Native.get());
+    EXPECT_EQ(Res.Checksum, Results[0].Checksum);
+    Compiles += !Res.NativeCacheHit;
+  }
+  EXPECT_EQ(Compiles, 1u);
+  EXPECT_EQ(NativeModuleCache::instance().size(), 1u);
 }
 
 TEST(EngineNative, SerialFallbackPlansCompileNoModule) {

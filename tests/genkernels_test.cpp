@@ -19,7 +19,9 @@
 #include "core/ShackleDriver.h"
 #include "interp/Interpreter.h"
 #include "programs/Benchmarks.h"
+extern "C" {
 #include "shackle_kernels.gen.h"
+}
 
 #include <gtest/gtest.h>
 

@@ -24,6 +24,8 @@
 #include "support/Checksum.h"
 #include "support/FaultInjector.h"
 
+#include "SimdEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -710,8 +712,8 @@ std::shared_ptr<NativeModule> compileModuleFor(const ParallelPlan &Plan) {
   // SIMD routing pinned off: these tests assert bitwise agreement with the
   // serial interpreter, and the vector kernels use FMA (opt-in ULP policy,
   // covered by the simd suite). Scalar routing keeps the reduction order.
+  ScopedSimdEnv Scalar("off");
   NativeJitOptions Opts;
-  Opts.Simd = SimdMode::Off;
   std::vector<Diagnostic> Diags;
   return NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
 }

@@ -39,6 +39,8 @@
 #include "service/PlanKey.h"
 #include "support/FaultInjector.h"
 
+#include "SimdEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -518,9 +520,9 @@ TEST_F(NativeTest, TwoLevelMMMAtOuterTaskLevelBitwise) {
   // keeping the interpreter's reduction order, which the FMA vector
   // kernels do not promise (opt-in ULP policy; the simd suite covers
   // them).
+  ScopedSimdEnv Scalar("off");
   NativeJitOptions NOpts;
   NOpts.UseMicroBlas = true;
-  NOpts.Simd = SimdMode::Off;
   std::vector<Diagnostic> Diags;
   std::shared_ptr<NativeModule> M =
       NativeModule::compile(Plan.nest(), Plan.partition(), NOpts, Diags);
@@ -567,7 +569,7 @@ TEST_F(NativeTest, EmittedTextHasAbiAndGemmRouting) {
   std::string TU = emitNativeTranslationUnit(Specs, On, &Emitted);
   EXPECT_NE(TU.find("shackle_native_abi_version"), std::string::npos);
   EXPECT_NE(TU.find("struct shackle_native_hooks"), std::string::npos);
-  EXPECT_NE(TU.find("extern \"C\" void shk_native_t0("), std::string::npos);
+  EXPECT_NE(TU.find("\nvoid shk_native_t0("), std::string::npos) << TU;
   // Kernels only: undo footprints come from the plan, not the module.
   EXPECT_EQ(TU.find("_writes("), std::string::npos);
   EXPECT_EQ(Emitted.GemmRouted, 1u);
@@ -771,8 +773,8 @@ TEST_F(NativeTest, ModuleServesARebuiltPlanWithTheSamePlanKey) {
     ParallelPlan Plan = ParallelPlan::build(P, Chain, {N});
     ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
     FirstKey = makePlanKey(P, Chain, {N}, 0, Shape).digest();
+    ScopedSimdEnv Scalar("off");
     NativeJitOptions Opts;
-    Opts.Simd = SimdMode::Off;
     std::vector<Diagnostic> Diags;
     M = NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
     ASSERT_NE(M, nullptr) << (Diags.empty() ? "" : Diags.front().str());
@@ -880,20 +882,22 @@ TEST_F(NativeTest, CliNativeTaskMatchesInterpreter) {
       "--native=off");
   EXPECT_EQ(RcInterp, 0) << OutInterp;
   EXPECT_EQ(OutInterp.find("native:"), std::string::npos) << OutInterp;
-  // --native-simd=off keeps the routed kernel scalar so the verify line
-  // stays bitwise (the simd suite pins the vector-kernel ULP contract).
+  // SHACKLE_NATIVE_SIMD=off keeps the routed kernel scalar so the verify
+  // line stays bitwise (the simd suite pins the vector-kernel ULP contract).
+  ScopedSimdEnv Scalar("off");
   auto [Rc, Out] = runCli(
       "run matmul cxa --block=8 --params=32 --threads=4 --verify "
-      "--native=task --task-level=0 --native-simd=off");
+      "--native=task --task-level=0");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native:"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;
 }
 
 TEST_F(NativeTest, CliTwoLevelNativeMatchesInterpreter) {
+  ScopedSimdEnv Scalar("off");
   auto [Rc, Out] = runCli(
       "run matmul two-level --block=32 --params=64 --task-level=2 "
-      "--threads=4 --verify --native=task --native-simd=off");
+      "--threads=4 --verify --native=task");
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("native:"), std::string::npos) << Out;
   EXPECT_NE(Out.find("bitwise-identical"), std::string::npos) << Out;

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Tests for the vector-width GEMM micro-kernels (kernels/SimdGemm.h), the
-// --native-simd selection machinery, and task-grain native compilation
+// SHACKLE_NATIVE_SIMD level selection, and task-grain native compilation
 // (ctest label: simd).
 //
 // Kernel policy: the SIMD kernels keep the scalar kernel's per-element
@@ -34,6 +34,8 @@
 #include "programs/Benchmarks.h"
 #include "support/PerfCounters.h"
 
+#include "SimdEnv.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,7 +43,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,12 +56,9 @@ namespace {
 #error "SHACKLE_CLI_PATH must be defined by the build"
 #endif
 
-/// Runs the CLI with \p Args (optionally under `env \p Env`); returns
-/// (exit code, combined stdout+stderr).
-std::pair<int, std::string> runCli(const std::string &Args,
-                                   const std::string &Env = "") {
-  std::string Cmd = (Env.empty() ? std::string() : "env " + Env + " ") +
-                    std::string(SHACKLE_CLI_PATH) + " " + Args + " 2>&1";
+/// Runs the CLI with \p Args; returns (exit code, combined stdout+stderr).
+std::pair<int, std::string> runCli(const std::string &Args) {
+  std::string Cmd = std::string(SHACKLE_CLI_PATH) + " " + Args + " 2>&1";
   std::FILE *Pipe = popen(Cmd.c_str(), "r");
   EXPECT_NE(Pipe, nullptr);
   std::string Out;
@@ -183,7 +181,7 @@ TEST(SimdKernel, PackedPanelsMatchRowSlicesBitwise) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mode resolution: CLI strings, CPUID degradation, env override
+// Mode resolution: mode names, CPUID degradation, env override
 //===----------------------------------------------------------------------===//
 
 TEST(SimdMode, ParseRoundTrips) {
@@ -200,28 +198,8 @@ TEST(SimdMode, ParseRoundTrips) {
   EXPECT_FALSE(parseSimdMode("", M));
 }
 
-/// Unsets SHACKLE_NATIVE_SIMD for one scope and restores it after, so a
-/// test about the requested mode holds on a CI leg that forces a level.
-class NoSimdOverride {
-public:
-  NoSimdOverride() {
-    if (const char *V = std::getenv("SHACKLE_NATIVE_SIMD"))
-      Saved = V;
-    unsetenv("SHACKLE_NATIVE_SIMD");
-  }
-  ~NoSimdOverride() {
-    if (Saved)
-      setenv("SHACKLE_NATIVE_SIMD", Saved->c_str(), 1);
-  }
-  NoSimdOverride(const NoSimdOverride &) = delete;
-  NoSimdOverride &operator=(const NoSimdOverride &) = delete;
-
-private:
-  std::optional<std::string> Saved;
-};
-
 TEST(SimdMode, OffAlwaysResolvesScalar) {
-  NoSimdOverride Clear;
+  ScopedSimdEnv Clear(nullptr);
   EXPECT_EQ(resolveSimdLevel(SimdMode::Off), SimdLevel::Scalar);
 }
 
@@ -236,10 +214,9 @@ TEST(SimdMode, AutoNeverExceedsCpu) {
 }
 
 TEST(SimdMode, EnvOverrideForcesScalar) {
-  ASSERT_EQ(setenv("SHACKLE_NATIVE_SIMD", "off", 1), 0);
+  ScopedSimdEnv Scalar("off");
   EXPECT_EQ(resolveSimdLevel(SimdMode::Auto), SimdLevel::Scalar);
   EXPECT_EQ(resolveSimdLevel(SimdMode::Avx512), SimdLevel::Scalar);
-  unsetenv("SHACKLE_NATIVE_SIMD");
 }
 
 TEST(SimdMode, SelectKernelNeverNull) {
@@ -260,23 +237,25 @@ protected:
   }
 };
 
+/// Compiles \p Plan's module at the vector level SHACKLE_NATIVE_SIMD gives
+/// (tests that need one set it with ScopedSimdEnv).
 std::shared_ptr<NativeModule> buildModule(const ParallelPlan &Plan,
-                                          bool MicroBlas, SimdMode Simd) {
+                                          bool MicroBlas) {
   NativeJitOptions Opts;
   Opts.UseMicroBlas = MicroBlas;
-  Opts.Simd = Simd;
   std::vector<Diagnostic> Diags;
   return NativeModule::compile(Plan.nest(), Plan.partition(), Opts, Diags);
 }
 
-/// Interpreted reference vs native execution at every SIMD mode, thread
-/// count, and seed. Tol 0.0 = bitwise (routing off); else 1e-12.
+/// Interpreted reference vs native execution at the current vector level,
+/// every thread count, and seed. Tol 0.0 = bitwise (routing off); else
+/// 1e-12.
 /// AutoLevel plans at the auto task level (what `--native=task` picks), so
 /// each task replays the inner shackle level inside its kernel.
 void expectSimdOracleAgreement(const BenchSpec &Spec,
                                const ShackleChain &Chain,
                                std::vector<int64_t> Params, bool MicroBlas,
-                               SimdMode Simd, bool AutoLevel, double Tol,
+                               bool AutoLevel, double Tol,
                                unsigned SpdDim = 0) {
   const Program &P = *Spec.Prog;
   ParallelPlanOptions PO;
@@ -284,7 +263,7 @@ void expectSimdOracleAgreement(const BenchSpec &Spec,
   ParallelPlan Plan = ParallelPlan::build(P, Chain, Params, PO);
   ASSERT_TRUE(Plan.parallelReady()) << Plan.summary();
   EXPECT_EQ(Plan.hierarchical(), AutoLevel) << Plan.summary();
-  std::shared_ptr<NativeModule> M = buildModule(Plan, MicroBlas, Simd);
+  std::shared_ptr<NativeModule> M = buildModule(Plan, MicroBlas);
   ASSERT_NE(M, nullptr);
   EXPECT_GT(M->stats().TaskKernels, 0u);
 
@@ -323,34 +302,37 @@ void expectSimdOracleAgreement(const BenchSpec &Spec,
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdOffBitwise) {
+  ScopedSimdEnv Scalar("off");
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/false, SimdMode::Off,
+                            /*MicroBlas=*/false,
                             /*AutoLevel=*/false, /*Tol=*/0.0);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAutoWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/true, SimdMode::Auto,
+                            /*MicroBlas=*/true,
                             /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx2WithinUlpBound) {
   if (!cpuHasAvx2Fma())
     GTEST_SKIP() << "no AVX2+FMA on this part";
+  ScopedSimdEnv Avx2("avx2");
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/true, SimdMode::Avx2,
+                            /*MicroBlas=*/true,
                             /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
 TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx512WithinUlpBound) {
   if (!cpuHasAvx512())
     GTEST_SKIP() << "no AVX-512F on this part";
+  ScopedSimdEnv Avx512("avx512");
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/true, SimdMode::Avx512,
+                            /*MicroBlas=*/true,
                             /*AutoLevel=*/false, /*Tol=*/1e-12);
 }
 
@@ -359,16 +341,17 @@ TEST_F(SimdNativeTest, MMMTwoLevelSimdAvx512WithinUlpBound) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(SimdNativeTest, TaskGrainMMMBitwise) {
+  ScopedSimdEnv Scalar("off");
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/false, SimdMode::Off,
+                            /*MicroBlas=*/false,
                             /*AutoLevel=*/true, /*Tol=*/0.0);
 }
 
 TEST_F(SimdNativeTest, TaskGrainMMMSimdAutoWithinUlpBound) {
   BenchSpec Spec = makeMatMul();
   expectSimdOracleAgreement(Spec, mmmShackleTwoLevel(*Spec.Prog, 8, 4), {32},
-                            /*MicroBlas=*/true, SimdMode::Auto,
+                            /*MicroBlas=*/true,
                             /*AutoLevel=*/true, /*Tol=*/1e-12);
 }
 
@@ -376,10 +359,11 @@ TEST_F(SimdNativeTest, TaskGrainMMMSimdAutoWithinUlpBound) {
 /// of one block column), so this is the case that exercises the inlined
 /// replay loop over flattened per-segment dims.
 TEST_F(SimdNativeTest, TaskGrainMultiSegmentCholeskyBitwise) {
+  ScopedSimdEnv Scalar("off");
   BenchSpec Spec = makeCholeskyRight();
   expectSimdOracleAgreement(Spec,
                             choleskyShackleStores(*Spec.Prog, 16), {48},
-                            /*MicroBlas=*/false, SimdMode::Off,
+                            /*MicroBlas=*/false,
                             /*AutoLevel=*/false, /*Tol=*/0.0, /*SpdDim=*/48);
 }
 
@@ -392,8 +376,8 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
   ShackleChain Chain = choleskyShackleStores(P, 16);
   ParallelPlan Plan = ParallelPlan::build(P, Chain, {48});
   ASSERT_TRUE(Plan.parallelReady());
-  std::shared_ptr<NativeModule> M =
-      buildModule(Plan, /*MicroBlas=*/false, SimdMode::Off);
+  ScopedSimdEnv Scalar("off");
+  std::shared_ptr<NativeModule> M = buildModule(Plan, /*MicroBlas=*/false);
   ASSERT_NE(M, nullptr);
 
   ProgramInstance Inst(P, {48});
@@ -416,38 +400,38 @@ TEST_F(SimdNativeTest, TaskGrainUndoCaptureMatchesInterpreter) {
 }
 
 /// Modules compiled for different resolved SIMD levels must not share a
-/// cache slot: the config hash separates them.
+/// cache slot: the level's arch flags are in the compile command the config
+/// hash is taken over.
 TEST(SimdConfig, NativeConfigHashSeparatesSimdLevels) {
-  NoSimdOverride Clear;
-  NativeJitOptions A;
-  NativeJitOptions C = A;
-  C.Simd = SimdMode::Off;
-  if (resolveSimdLevel(A.Simd) != SimdLevel::Scalar) {
-    EXPECT_NE(nativeConfigHash(A), nativeConfigHash(C));
+  NativeJitOptions Opts;
+  uint64_t Widest, Scalar;
+  bool Wide;
+  {
+    ScopedSimdEnv Clear(nullptr);
+    Widest = nativeConfigHash(Opts);
+    Wide = resolveSimdLevel(SimdMode::Auto) != SimdLevel::Scalar;
+  }
+  {
+    ScopedSimdEnv Off("off");
+    Scalar = nativeConfigHash(Opts);
+  }
+  if (Wide) {
+    EXPECT_NE(Widest, Scalar);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// CLI: --native-simd plumbing and the env-forced off leg
+// CLI: the SHACKLE_NATIVE_SIMD setter and the ULP verify line
 //===----------------------------------------------------------------------===//
 
 class SimdCliTest : public SimdNativeTest {};
-
-TEST_F(SimdCliTest, NativeSimdOffReportsScalar) {
-  auto [Code, Out] = runCli("run matmul two-level --block=8 --params=32 "
-                            "--native=task --native-simd=off --verify",
-                            "-u SHACKLE_NATIVE_SIMD");
-  EXPECT_EQ(Code, 0) << Out;
-  EXPECT_NE(Out.find("simd=scalar"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("task-calls="), std::string::npos) << Out;
-}
 
 /// With SIMD routing active --verify applies the documented ULP policy:
 /// a sub-1e-12 FMA difference passes with the "within ULP bound" line
 /// instead of failing the strict bitwise compare.
 TEST_F(SimdCliTest, NativeSimdAutoVerifiesWithinUlp) {
   auto [Code, Out] = runCli("run matmul two-level --block=64 --params=128 "
-                            "--native=task --native-simd=auto --verify");
+                            "--native=task --verify");
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("gemm-routed=1"), std::string::npos) << Out;
   bool Bitwise = Out.find("bitwise-identical") != std::string::npos;
@@ -455,20 +439,15 @@ TEST_F(SimdCliTest, NativeSimdAutoVerifiesWithinUlp) {
   EXPECT_TRUE(Bitwise || Ulp) << Out;
 }
 
-TEST_F(SimdCliTest, NativeSimdRejectsUnknownWidth) {
-  auto [Code, Out] = runCli("run matmul c --block=8 --params=32 "
-                            "--native=task --native-simd=sse9");
-  EXPECT_NE(Code, 0);
-  EXPECT_NE(Out.find("--native-simd"), std::string::npos) << Out;
-}
-
+/// The environment is the one setter of the vector level: it lowers the
+/// default (widest) request to the scalar kernel.
 TEST_F(SimdCliTest, EnvForcesScalarOverAuto) {
-  auto [Code, Out] =
-      runCli("run matmul two-level --block=8 --params=32 --native=task "
-             "--native-simd=auto --verify",
-             /*Env=*/"SHACKLE_NATIVE_SIMD=off");
+  ScopedSimdEnv Scalar("off");
+  auto [Code, Out] = runCli("run matmul two-level --block=8 --params=32 "
+                            "--native=task --verify");
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("simd=scalar"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("task-calls="), std::string::npos) << Out;
 }
 
 //===----------------------------------------------------------------------===//

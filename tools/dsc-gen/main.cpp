@@ -7,7 +7,7 @@
 //
 // Build-time code generator: constructs every benchmark program, applies the
 // paper's shackle configurations, verifies legality (a failed check fails
-// the build, as a compiler should), and emits one translation unit of C++
+// the build, as a compiler should), and emits one translation unit of C
 // kernels plus its header. The bench binaries compile the result, so every
 // measured number comes from compiled code, not the interpreter.
 //
@@ -151,7 +151,7 @@ int main(int argc, char **argv) {
     G.Programs.push_back(std::move(Spec.Prog));
   }
 
-  std::string Cpp = emitTranslationUnit(G.Kernels);
+  std::string Src = emitTranslationUnit(G.Kernels);
   std::string Hdr = emitHeader(G.Kernels);
 
   auto WriteFile = [](const std::string &Path, const std::string &Text) {
@@ -163,7 +163,7 @@ int main(int argc, char **argv) {
     std::fwrite(Text.data(), 1, Text.size(), F);
     std::fclose(F);
   };
-  WriteFile(OutDir + "/shackle_kernels.gen.cpp", Cpp);
+  WriteFile(OutDir + "/shackle_kernels.gen.c", Src);
   WriteFile(OutDir + "/shackle_kernels.gen.h", Hdr);
   std::fprintf(stderr, "dsc-gen: emitted %zu kernels to %s\n",
                G.Kernels.size(), OutDir.c_str());

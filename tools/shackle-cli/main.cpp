@@ -79,7 +79,7 @@ int usage() {
       "      [--inject=SPEC] [--perf]\n"
       "      [--verify-data=undo|block]\n"
       "      [--native=off|task] [--native-cxx=PATH]\n"
-      "      [--native-microblas=on|off] [--native-simd=off|avx2|avx512|auto]\n"
+      "      [--native-microblas=on|off]\n"
       "      (parallel block execution on the pipeline `shackle serve`\n"
       "       runs; the ran line carries the result checksum the service\n"
       "       reports; every flag is described in docs/CLI.md)\n"
@@ -282,8 +282,7 @@ const std::vector<std::string> *commandFlags(const std::string &Cmd) {
       {"run",
        {"params", "threads", "task-level", "verify", "plan-cache",
         "max-retries", "deadline-ms", "stall-ms", "inject", "perf",
-        "verify-data", "native", "native-cxx",
-        "native-microblas", "native-simd"}},
+        "verify-data", "native", "native-cxx", "native-microblas"}},
       {"serve",
        {"socket", "snapshot", "cache-bytes", "threads", "max-inflight",
         "queue-depth", "request-deadline-ms", "max-line-bytes",
@@ -462,10 +461,6 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
   if (NativeBlas != "on" && NativeBlas != "off")
     return badFlag("--native-microblas", "'on' or 'off'", NativeBlas);
   NativeOpts.UseMicroBlas = NativeBlas == "on";
-  std::string NativeSimd = flagString(Argc, Argv, "native-simd", "auto");
-  if (!parseSimdMode(NativeSimd, NativeOpts.Simd))
-    return badFlag("--native-simd", "'off', 'avx2', 'avx512', or 'auto'",
-                   NativeSimd);
   if (NativeMode == "task")
     Req.Native = NativeOpts;
 
@@ -649,8 +644,8 @@ int cmdRun(const Resolved &R, const std::vector<int64_t> &Params, int Argc,
       std::fprintf(stderr,
                    "verify: parallel result differs from serial shackled "
                    "execution beyond the ULP bound "
-                   "(max |diff| = %.3e > 1e-12)\n",
-                   Res.MaxDiff);
+                   "(max |diff| = %.3e > %.0e)\n",
+                   Res.MaxDiff, GemmVerifyBound);
     else
       std::fprintf(stderr, "verify: parallel result differs from serial "
                            "shackled execution\n");
