@@ -426,6 +426,17 @@ TEST(SimdConfig, NativeConfigHashSeparatesSimdLevels) {
 
 class SimdCliTest : public SimdNativeTest {};
 
+/// With the vector level off the native line reports the scalar kernel
+/// and the task kernel still serves every task.
+TEST_F(SimdCliTest, NativeSimdOffReportsScalar) {
+  ScopedSimdEnv Scalar("off");
+  auto [Code, Out] = runCli("run matmul two-level --block=8 --params=32 "
+                            "--native=task --verify");
+  EXPECT_EQ(Code, 0) << Out;
+  EXPECT_NE(Out.find("simd=scalar"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("task-calls="), std::string::npos) << Out;
+}
+
 /// With SIMD routing active --verify applies the documented ULP policy:
 /// a sub-1e-12 FMA difference passes with the "within ULP bound" line
 /// instead of failing the strict bitwise compare.
@@ -447,7 +458,6 @@ TEST_F(SimdCliTest, EnvForcesScalarOverAuto) {
                             "--native=task --verify");
   EXPECT_EQ(Code, 0) << Out;
   EXPECT_NE(Out.find("simd=scalar"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("task-calls="), std::string::npos) << Out;
 }
 
 //===----------------------------------------------------------------------===//
