@@ -8,6 +8,7 @@
 #include "polyhedral/SetOps.h"
 
 #include "polyhedral/OmegaTest.h"
+#include "polyhedral/Simplify.h"
 
 #include <cassert>
 
@@ -36,16 +37,30 @@ std::vector<Polyhedron> shackle::subtract(const Polyhedron &A,
 
   std::vector<Polyhedron> Pieces;
   Polyhedron Context = A;
+  bool ContextNonEmpty = false; // Proven by the Omega test.
   for (const ConstraintRow &Row : BRows) {
-    Polyhedron Piece = Context;
-    Piece.addInequality(negateInequality(Row));
-    if (Piece.normalize() && !isIntegerEmpty(Piece)) {
-      Piece.removeDuplicateConstraints();
-      Pieces.push_back(std::move(Piece));
+    // When one row of Context implies Row, no point of Context violates
+    // it: the piece is empty, and adding Row keeps Context's points, so a
+    // Context proven non-empty stays so. Row is still appended, so every
+    // later piece has the same constraint list as without the shortcut.
+    const bool Implied = impliedByOneRow(Row, /*IsEq=*/false, Context);
+    if (!Implied) {
+      Polyhedron Piece = Context;
+      Piece.addInequality(negateInequality(Row));
+      if (Piece.normalize() && !isIntegerEmpty(Piece)) {
+        Piece.removeDuplicateConstraints();
+        Pieces.push_back(std::move(Piece));
+      }
     }
     Context.addInequality(Row);
-    if (!Context.normalize() || isIntegerEmpty(Context))
+    if (!Context.normalize())
       break; // Remaining cases are all empty.
+    if (Implied && ContextNonEmpty)
+      continue;
+    FeasVerdict V = isIntegerEmptyBounded(Context);
+    if (V == FeasVerdict::Empty)
+      break;
+    ContextNonEmpty = V == FeasVerdict::NonEmpty;
   }
   return Pieces;
 }

@@ -24,7 +24,9 @@
 namespace shackle {
 
 /// Computes A \ B as a disjoint finite union of polyhedra (over the common
-/// space). Empty pieces are dropped; the result may be empty.
+/// space). Empty pieces are dropped; the result may be empty. A row of B
+/// that one row of A (or of B's rows before it) already implies
+/// (impliedByOneRow) yields no piece and costs no solver query.
 std::vector<Polyhedron> subtract(const Polyhedron &A, const Polyhedron &B);
 
 /// Computes A \ (union of Bs) as a disjoint finite union of polyhedra.

@@ -21,6 +21,18 @@
 
 namespace shackle {
 
+/// True when a single row of \p C implies \p Row (an equality row when
+/// \p IsEq, an inequality row otherwise) on its own, by comparing rows and
+/// without a solver call. An inequality is implied by an inequality of C
+/// with the same coefficients and a constant no larger, or by an equality
+/// of C with the same coefficients in either sign whose pinned value
+/// satisfies it; an equality only by the same equality in either sign.
+/// Exact for any C; rows of a normalized C compare equal more often. A
+/// false answer decides nothing: the Omega test may still prove Row
+/// implied by several rows together.
+bool impliedByOneRow(const ConstraintRow &Row, bool IsEq,
+                     const Polyhedron &C);
+
 /// Removes inequalities of \p P implied (over the integers) by the remaining
 /// constraints. Deterministic: constraints are considered in order.
 void removeRedundantInequalities(Polyhedron &P);
@@ -28,6 +40,8 @@ void removeRedundantInequalities(Polyhedron &P);
 /// Returns \p P simplified under the assumption that \p Context holds: every
 /// constraint of P that is implied by (rest of P) /\ Context is dropped.
 /// The result, intersected with Context, equals P intersected with Context.
+/// A constraint that one row of Context implies (impliedByOneRow) is
+/// dropped without a solver query.
 Polyhedron gist(const Polyhedron &P, const Polyhedron &Context);
 
 } // namespace shackle

@@ -23,10 +23,9 @@ namespace {
 #error "SHACKLE_CLI_PATH must be defined by the build"
 #endif
 
-/// Runs the CLI with \p Args; returns (exit code, stdout).
-std::pair<int, std::string> runCli(const std::string &Args) {
-  std::string Cmd = std::string(SHACKLE_CLI_PATH) + " " + Args + " 2>&1";
-  std::FILE *Pipe = popen(Cmd.c_str(), "r");
+/// Runs \p Cmd through the shell; returns (exit code, stdout and stderr).
+std::pair<int, std::string> runShell(const std::string &Cmd) {
+  std::FILE *Pipe = popen((Cmd + " 2>&1").c_str(), "r");
   EXPECT_NE(Pipe, nullptr);
   std::string Out;
   char Buf[4096];
@@ -35,6 +34,11 @@ std::pair<int, std::string> runCli(const std::string &Args) {
     Out.append(Buf, Got);
   int Status = pclose(Pipe);
   return {WEXITSTATUS(Status), Out};
+}
+
+/// Runs the CLI with \p Args; returns (exit code, stdout and stderr).
+std::pair<int, std::string> runCli(const std::string &Args) {
+  return runShell(std::string(SHACKLE_CLI_PATH) + " " + Args);
 }
 
 TEST(Cli, ListShowsBenchmarks) {
@@ -341,6 +345,27 @@ TEST_F(CliFile, TinySolverBudgetCodegenFallsBackToOriginal) {
   EXPECT_NE(Out.find("falling back"), std::string::npos) << Out;
   EXPECT_NE(Out.find("do J = 0 .. N - 1"), std::string::npos) << Out;
   EXPECT_EQ(Out.find("do b1"), std::string::npos) << Out;
+}
+
+/// `emit` prints a complete C11 unit (the one preamble, the kernel and the
+/// name lookup), so the C compiler takes it as it is. -fopenmp-simd is the
+/// flag every emitted unit is built with; it honours the `omp simd` marks.
+TEST_F(CliFile, EmitPrintsACompilableC11Unit) {
+  if (runShell("echo 'int x;' | cc -x c -std=c11 -c -o /dev/null -").first)
+    GTEST_SKIP() << "no C compiler runs";
+  const std::string Unit = ::testing::TempDir() + "cli_test_emit.c";
+  for (const std::string &Args :
+       {std::string("emit cholesky-right product-wr --block=16"),
+        "file " + Path + " emit --array=A --block=8,8 --name=chol"}) {
+    const std::string Emit = std::string(SHACKLE_CLI_PATH) + " " + Args;
+    ASSERT_EQ(runShell("(" + Emit + " >" + Unit + " 2>/dev/null)").first, 0)
+        << Args;
+    auto [Rc, Out] = runShell("cc -x c -std=c11 -fopenmp-simd -Wall -Werror "
+                              "-c -o /dev/null " +
+                              Unit);
+    EXPECT_EQ(Rc, 0) << Args << ":\n" << Out;
+  }
+  std::remove(Unit.c_str());
 }
 
 TEST_F(CliFile, StrictRefusesFallbackTiers) {

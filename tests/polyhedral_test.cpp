@@ -350,4 +350,188 @@ TEST_P(GistProperty, GistIntersectContextEqualsOriginal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GistProperty, ::testing::Range(1, 60));
 
+//===----------------------------------------------------------------------===//
+// The one-row implication shortcut (impliedByOneRow) in gist and subtract
+//===----------------------------------------------------------------------===//
+
+/// A row with \p Row's coefficients, in a form picked by \p R: an equality
+/// of either sign, an inequality, or an inequality of the opposite sign,
+/// with a constant within 2 of implying Row. Implied says whether the row
+/// implies Row (an equality when \p IsEq) on its own, as impliedByOneRow
+/// must then find.
+struct RelatedRow {
+  ConstraintRow Row;
+  bool IsEq = false;
+  bool Implied = false;
+};
+
+RelatedRow relatedRow(Rng &R, const ConstraintRow &Row, bool IsEq) {
+  RelatedRow Out;
+  Out.Row = Row;
+  const int64_t D = R.range(-2, 2);
+  Out.Row.back() += D; // e.x + r + D.
+  switch (R.range(0, 2)) {
+  case 0: // +-(e.x + r + D) == 0 pins e.x + r to -D.
+    Out.IsEq = true;
+    Out.Implied = IsEq ? D == 0 : D <= 0;
+    if (R.range(0, 1))
+      for (int64_t &V : Out.Row)
+        V = -V;
+    break;
+  case 1: // e.x + r + D >= 0.
+    Out.Implied = !IsEq && D <= 0;
+    break;
+  default: // -(e.x + r + D) >= 0: never one-row implies Row.
+    for (int64_t &V : Out.Row)
+      V = -V;
+    break;
+  }
+  return Out;
+}
+
+void addRow(Polyhedron &C, const RelatedRow &Rel) {
+  if (Rel.IsEq)
+    C.addEquality(Rel.Row);
+  else
+    C.addInequality(Rel.Row);
+}
+
+/// Calls \p F on every point of [-Box, Box]^NumVars.
+void forEachPoint(unsigned NumVars, int64_t Box,
+                  const std::function<void(const std::vector<int64_t> &)> &F) {
+  std::vector<int64_t> Pt(NumVars, -Box);
+  std::function<void(unsigned)> Rec = [&](unsigned D) {
+    if (D == NumVars)
+      return F(Pt);
+    for (int64_t V = -Box; V <= Box; ++V) {
+      Pt[D] = V;
+      Rec(D + 1);
+    }
+  };
+  Rec(0);
+}
+
+/// Does \p Row (an equality when \p IsEq) hold at \p Pt?
+bool rowHolds(const ConstraintRow &Row, bool IsEq,
+              const std::vector<int64_t> &Pt) {
+  int64_t V = Row.back();
+  for (unsigned I = 0; I < Pt.size(); ++I)
+    V += Row[I] * Pt[I];
+  return IsEq ? V == 0 : V >= 0;
+}
+
+/// Checks impliedByOneRow on \p Row against a context of the box and
+/// \p Rel alone: it must find every implied related row, and whatever it
+/// accepts must hold at every point of that context. Returns its answer.
+bool checkHelper(const ConstraintRow &Row, bool IsEq, const RelatedRow &Rel,
+                 unsigned NumVars, int64_t Box) {
+  Polyhedron One(NumVars);
+  for (unsigned V = 0; V < NumVars; ++V)
+    One.addBounds(V, -Box, Box);
+  addRow(One, Rel);
+  const bool Accepted = impliedByOneRow(Row, IsEq, One);
+  if (Rel.Implied) {
+    EXPECT_TRUE(Accepted) << One.str();
+  }
+  if (Accepted)
+    forEachPoint(NumVars, Box, [&](const std::vector<int64_t> &Pt) {
+      if (One.containsPoint(Pt)) {
+        EXPECT_TRUE(rowHolds(Row, IsEq, Pt)) << One.str();
+      }
+    });
+  return Accepted;
+}
+
+TEST(GistShortcutProperty, SharedContextRowsKeepGistExact) {
+  const int64_t Box = 3;
+  unsigned Accepted = 0, Rejected = 0, Exercised = 0;
+  for (int Seed = 1; Seed <= 400; ++Seed) {
+    Rng R(Seed * 104729);
+    const unsigned NumVars = 2 + Seed % 2;
+    Polyhedron P = randomPoly(R, NumVars, 2, Box);
+    Polyhedron Ctx = randomPoly(R, NumVars, 1, Box);
+    // gist compares P's normalized rows against the context's; give the
+    // context rows related to some of them, implying or near misses.
+    Polyhedron Pn = P;
+    Pn.normalize();
+    bool Shared = false;
+    auto Relate = [&](const ConstraintRow &Row, bool IsEq) {
+      if (R.range(0, 3))
+        return;
+      RelatedRow Rel = relatedRow(R, Row, IsEq);
+      (checkHelper(Row, IsEq, Rel, NumVars, Box) ? Accepted : Rejected) += 1;
+      addRow(Ctx, Rel);
+      Shared |= Rel.Implied;
+    };
+    for (const ConstraintRow &Row : Pn.equalities())
+      Relate(Row, /*IsEq=*/true);
+    for (const ConstraintRow &Row : Pn.inequalities())
+      Relate(Row, /*IsEq=*/false);
+
+    Polyhedron G = gist(P, Ctx);
+    bool Meet = false;
+    forEachPoint(NumVars, Box, [&](const std::vector<int64_t> &Pt) {
+      if (!Ctx.containsPoint(Pt))
+        return;
+      Meet |= P.containsPoint(Pt);
+      EXPECT_EQ(G.containsPoint(Pt), P.containsPoint(Pt))
+          << "seed " << Seed << "\nP:\n"
+          << P.str() << "context:\n"
+          << Ctx.str();
+    });
+    Exercised += Shared && Meet;
+  }
+  // Enough seeds reach gist's row loops with an implied shared row, and
+  // the helper meets both answers often, for the checks to mean something.
+  EXPECT_GE(Exercised, 30u);
+  EXPECT_GE(Accepted, 300u);
+  EXPECT_GE(Rejected, 60u);
+}
+
+TEST(SubtractShortcutProperty, ImpliedRowsKeepPiecesDisjointAndExact) {
+  const int64_t Box = 3;
+  unsigned Exercised = 0;
+  for (int Seed = 1; Seed <= 200; ++Seed) {
+    Rng R(Seed * 7793);
+    const unsigned NumVars = 2 + Seed % 2;
+    Polyhedron A = randomPoly(R, NumVars, 1, Box);
+    Polyhedron B = randomPoly(R, NumVars, 1, Box);
+    // Give B inequalities related to A's rows: A's inequalities with a
+    // constant moved either way, and either direction of A's equalities,
+    // so that one row of A implies some of them and not others.
+    Polyhedron An = A;
+    An.normalize();
+    auto Relate = [&](ConstraintRow Row) {
+      if (R.range(0, 1))
+        for (int64_t &V : Row)
+          V = -V;
+      Row.back() += R.range(-1, 2);
+      B.addInequality(std::move(Row));
+    };
+    for (const ConstraintRow &Row : An.equalities())
+      Relate(Row);
+    for (ConstraintRow Row : An.inequalities())
+      if (R.range(0, 1)) {
+        Row.back() += R.range(-1, 2);
+        B.addInequality(std::move(Row));
+      }
+    bool Shared = false;
+    for (const ConstraintRow &Row : B.inequalities())
+      Shared |= impliedByOneRow(Row, /*IsEq=*/false, An);
+
+    std::vector<Polyhedron> Pieces = subtract(A, B);
+    bool NonEmpty = false;
+    forEachPoint(NumVars, Box, [&](const std::vector<int64_t> &Pt) {
+      NonEmpty |= A.containsPoint(Pt);
+      const bool InDiff = A.containsPoint(Pt) && !B.containsPoint(Pt);
+      unsigned Count = 0;
+      for (const Polyhedron &Piece : Pieces)
+        Count += Piece.containsPoint(Pt);
+      EXPECT_EQ(Count, InDiff ? 1u : 0u) << "seed " << Seed;
+    });
+    Exercised += Shared && NonEmpty;
+  }
+  EXPECT_GE(Exercised, 120u);
+}
+
 } // namespace

@@ -366,9 +366,11 @@ int cmdCodegen(const Resolved &R, bool Emit, int Argc, char **Argv) {
                : legalityExitCode(CR.Legality);
   }
   if (Emit)
-    std::printf("%s",
-                emitKernel(CR.Nest, flagString(Argc, Argv, "name", "kernel"))
-                    .c_str());
+    std::printf(
+        "%s",
+        emitTranslationUnit(
+            {{flagString(Argc, Argv, "name", "kernel"), &CR.Nest}})
+            .c_str());
   else
     std::printf("%s", CR.Nest.str().c_str());
   return 0;
