@@ -27,9 +27,9 @@ namespace shackle {
 /// with the same coefficients and a constant no larger, or by an equality
 /// of C with the same coefficients in either sign whose pinned value
 /// satisfies it; an equality only by the same equality in either sign.
-/// Exact for any C; rows of a normalized C compare equal more often. A
-/// false answer decides nothing: the Omega test may still prove Row
-/// implied by several rows together.
+/// A true answer is sound for any C; rows of a normalized C compare equal
+/// more often. A false answer decides nothing: the Omega test may still
+/// prove Row implied by several rows together.
 bool impliedByOneRow(const ConstraintRow &Row, bool IsEq,
                      const Polyhedron &C);
 
